@@ -4,12 +4,10 @@ package wanfd
 // heartbeat datagrams are driven through the endpoint's in-process packet
 // Injector, so one op is one datagram decoded, attributed, stamped and
 // delivered to its peer's detector — the full receive path minus the
-// kernel socket. "batched" is the default drain pipeline (pooled messages,
-// one clock read and one peer-table lock per drain batch, per-shard MPSC
-// hand-off, batch delivery through Router.ReceiveBatch); "unbatched" is
-// the classic baseline, WithPipeline(PipelineConfig{DisableBatchedIngest:
-// true}): a fresh message allocation, clock read, peer lookup and locked
-// router dispatch per packet.
+// kernel socket: pooled messages, one clock read and one peer-table lock
+// per drain batch, per-shard MPSC hand-off, batch delivery through
+// Router.ReceiveBatch. The classic per-packet baseline this pipeline
+// replaced is recorded in BENCH_ingest.json.
 
 import (
 	"encoding/binary"
@@ -62,12 +60,7 @@ func buildIngestTraffic(b *testing.B, mm *MultiMonitor, peers int) (pkts [][]byt
 // lag-bounded against the delivery counter so shard rings never overflow.
 // The final drain is inside the timed region — ns/op is delivered
 // throughput, not enqueue throughput.
-func runIngestBench(b *testing.B, peers int, batched bool, extra ...Option) {
-	var opts []Option
-	if !batched {
-		opts = append(opts, WithPipeline(PipelineConfig{DisableBatchedIngest: true}))
-	}
-	opts = append(opts, extra...)
+func runIngestBench(b *testing.B, peers int, opts ...Option) {
 	mm, err := NewMultiMonitor("127.0.0.1:0", opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -118,24 +111,20 @@ func runIngestBench(b *testing.B, peers int, batched bool, extra ...Option) {
 	if st.RingDrops != 0 {
 		b.Fatalf("%d ring drops: lag bound failed to keep the pipeline lossless", st.RingDrops)
 	}
-	if batched && st.Drains > 0 {
+	if st.Drains > 0 {
 		b.ReportMetric(float64(sent)/float64(st.Drains), "batch")
 	}
 }
 
-// BenchmarkIngest1k compares the batched pipeline against the classic
-// per-packet path at 1024 monitored peers.
+// BenchmarkIngest1k measures the ingest pipeline at 1024 monitored peers.
 func BenchmarkIngest1k(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { runIngestBench(b, benchClusterPeers, true) })
-	b.Run("unbatched", func(b *testing.B) { runIngestBench(b, benchClusterPeers, false) })
+	b.Run("batched", func(b *testing.B) { runIngestBench(b, benchClusterPeers) })
 }
 
 // BenchmarkIngest10k is the acceptance configuration: at 10240 peers the
-// batched path must deliver ≥30% better ns/op and 0 allocs/op versus the
-// classic-ingest baseline (recorded in BENCH_ingest.json).
+// pipeline must stay at 0 allocs/op (BENCH_ingest.json).
 func BenchmarkIngest10k(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { runIngestBench(b, benchCluster10kPeers, true) })
-	b.Run("unbatched", func(b *testing.B) { runIngestBench(b, benchCluster10kPeers, false) })
+	b.Run("batched", func(b *testing.B) { runIngestBench(b, benchCluster10kPeers) })
 	// The hot-path-neutrality pin for the durable QoS store: the batched
 	// pipeline with every detector tapping a PeerRecorder must stay at
 	// 0 allocs/op — samples go into a fixed ring, drops are counted and
@@ -146,26 +135,25 @@ func BenchmarkIngest10k(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer func() { _ = st.Close() }()
-		runIngestBench(b, benchCluster10kPeers, true, WithStore(st))
+		runIngestBench(b, benchCluster10kPeers, WithStore(st))
 	})
 }
 
 // BenchmarkIngest100k is the scale configuration: 102400 peers across the
-// 127.0.0.0/8 loopback block, batched pipeline only (the classic path's
-// per-packet allocation makes 100k-peer runs pointlessly slow). The run
-// fails on any drop or malformed packet, so completing at all demonstrates
-// bounded lag with zero unexplained loss at 100k peers.
+// 127.0.0.0/8 loopback block. The run fails on any drop or malformed
+// packet, so completing at all demonstrates bounded lag with zero
+// unexplained loss at 100k peers.
 func BenchmarkIngest100k(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { runIngestBench(b, benchCluster100kPeers, true) })
+	b.Run("batched", func(b *testing.B) { runIngestBench(b, benchCluster100kPeers) })
 }
 
 // BenchmarkIngest1M is the receive half of the memory-layout tier:
-// 1,048,576 peers on the 1M scale profile, batched pipeline only. The
+// 1,048,576 peers on the 1M scale profile. The
 // per-op cost isolates the arena-table attribution path (64-way byAddr
 // lookup → arena record) at full table population.
 func BenchmarkIngest1M(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
-		runIngestBench(b, benchCluster1MPeers, true,
+		runIngestBench(b, benchCluster1MPeers,
 			WithPipeline(PipelineConfig{ExpectedPeers: benchCluster1MPeers}))
 	})
 }

@@ -1,13 +1,16 @@
 package wanfd
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"wanfd/internal/neko"
+	"wanfd/internal/telemetry"
 )
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
@@ -111,6 +114,86 @@ func TestMultiMonitorDynamicMembership(t *testing.T) {
 		return err == nil && b.Heartbeats > before.Heartbeats && !b.Suspected
 	}) {
 		t.Fatal("surviving peer's detector disturbed by removal")
+	}
+}
+
+// TestMultiMonitorFailedAddPeerRetiresSeries pins the telemetry of a
+// rejected join: a name refused for its address never became a member, so
+// none of its per-peer series may stay in the exposition, while a name
+// refused as a duplicate must leave the live member's series in place.
+func TestMultiMonitorFailedAddPeerRetiresSeries(t *testing.T) {
+	reg := telemetry.NewRegistry(16)
+	mon, err := NewMultiMonitor("127.0.0.1:0", WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	if err := mon.AddPeer("alpha", "127.0.0.1:40001"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.AddPeer("ghost", "127.0.0.1:40001"); err == nil {
+		t.Fatal("duplicate peer address accepted")
+	}
+	if err := mon.AddPeer("alpha", "127.0.0.1:40002"); err == nil {
+		t.Fatal("duplicate peer name accepted")
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if strings.Contains(out, `peer="ghost"`) {
+		t.Errorf("rejected peer left series behind:\n%s", out)
+	}
+	for _, series := range []string{
+		telemetry.MetricHeartbeatsLate + `{peer="alpha"}`,
+		telemetry.MetricHeartbeats + `{peer="alpha"}`,
+	} {
+		if !strings.Contains(out, series) {
+			t.Errorf("live member lost %s after a duplicate-name AddPeer", series)
+		}
+	}
+}
+
+// TestMultiMonitorStatsMatchSnapshot pins that the unified Stats and the
+// cluster Snapshot report the same detector totals on a populated
+// monitor: heartbeats, a stale duplicate and one suspicion per silent
+// peer.
+func TestMultiMonitorStatsMatchSnapshot(t *testing.T) {
+	mon, err := NewMultiMonitor("127.0.0.1:0", WithEta(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	const peers = 4
+	for i := 0; i < peers; i++ {
+		if err := mon.AddPeer(fmt.Sprintf("peer-%d", i), fmt.Sprintf("127.0.0.1:%d", 40001+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Process ids are assigned sequentially in AddPeer order. Peer 0 also
+	// gets a duplicate of seq 2, which its detector counts as stale.
+	for i := 0; i < peers; i++ {
+		for _, seq := range []int64{1, 2, 3} {
+			mon.router.Receive(&neko.Message{
+				Type:   neko.MsgHeartbeat,
+				From:   multiMonitorID + 1 + neko.ProcessID(i),
+				Seq:    seq,
+				SentAt: mon.ctx.Clock.Now(),
+			})
+		}
+	}
+	mon.router.Receive(&neko.Message{Type: neko.MsgHeartbeat, From: multiMonitorID + 1, Seq: 2, SentAt: mon.ctx.Clock.Now()})
+	// Once every peer is suspected the counters stop moving.
+	if !waitFor(t, 5*time.Second, func() bool { return mon.Snapshot().Suspected == peers }) {
+		t.Fatalf("peers never all suspected: %+v", mon.Snapshot())
+	}
+	snap := mon.Snapshot()
+	if tot := snap.Totals; tot.Heartbeats != 3*peers+1 || tot.Stale != 1 || tot.Suspicions < peers {
+		t.Errorf("snapshot totals %+v, want %d heartbeats, 1 stale, >= %d suspicions", tot, 3*peers+1, peers)
+	}
+	if got := mon.Stats().Detector; got != snap.Totals {
+		t.Errorf("Stats().Detector = %+v, Snapshot().Totals = %+v", got, snap.Totals)
 	}
 }
 

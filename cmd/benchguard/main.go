@@ -8,6 +8,8 @@
 //
 // ns/op is reported for context but never gated: CI runners are too noisy
 // for a wall-clock gate, while allocation counts are deterministic.
+// Baseline runs missing from the input are listed as "not run", so the log
+// shows which baselines went un-gated; they do not fail the build.
 //
 // Usage:
 //
@@ -107,6 +109,22 @@ func meanNs(ns []float64) float64 {
 	return s / float64(len(ns))
 }
 
+// notRun returns the baseline runs, in baseline order, that no input
+// line measured.
+func notRun(runs []baselineRun, got []measured) []baselineRun {
+	seen := make(map[string]bool, len(got))
+	for _, m := range got {
+		seen[m.name] = true
+	}
+	var out []baselineRun
+	for _, r := range runs {
+		if !seen[r.Benchmark] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func run() error {
 	baselinePath := flag.String("baseline", "BENCH_ingest.json", "baseline JSON recorded by the PR that landed the pipeline")
 	tolerance := flag.Float64("tolerance", 0.05, "fractional allocs/op regression allowed on non-zero baselines")
@@ -172,6 +190,9 @@ func run() error {
 			}
 			fmt.Println(status)
 		}
+	}
+	for _, r := range notRun(latest.Runs, got) {
+		fmt.Printf("not run %-42s (baseline %.0f allocs/op, not gated)\n", r.Benchmark, r.AllocsPerOp)
 	}
 	if matched == 0 {
 		return fmt.Errorf("no benchmark in the input matched the %d baseline runs — wrong -bench pattern?", len(latest.Runs))

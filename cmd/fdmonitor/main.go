@@ -71,7 +71,6 @@ func run() error {
 		accrual   = flag.Float64("accrual", 0, "use a φ-accrual detector at this threshold instead of predictor+margin (0 = off, single-peer mode)")
 		stats     = flag.Duration("stats", 10*time.Second, "statistics print interval (0 disables)")
 		events    = flag.Int("events", 512, "suspicion transitions kept for GET /events")
-		batched   = flag.Bool("batched", true, "use the batched transport pipelines (false = classic per-datagram A/B baseline)")
 		storeDir  = flag.String("store-dir", "", "append durable QoS history (delay samples + suspicion transitions) to segment files in this directory")
 		storeMax  = flag.Int64("store-max-bytes", 0, "retention: cap the durable history's total size (0 = unbounded)")
 		storeAge  = flag.Duration("store-max-age", 0, "retention: drop durable history older than this (0 = keep everything)")
@@ -91,9 +90,9 @@ func run() error {
 	}
 	sf := storeFlags{dir: *storeDir, maxBytes: *storeMax, maxAge: *storeAge}
 	if *peersFlag != "" {
-		return runCluster(*listen, *peersFlag, *httpAddr, *eta, *predictor, *margin, *stats, *batched, reg, sf)
+		return runCluster(*listen, *peersFlag, *httpAddr, *eta, *predictor, *margin, *stats, reg, sf)
 	}
-	return runSingle(*listen, *remote, *httpAddr, *eta, *predictor, *margin, *accrual, *sync, *stats, *batched, reg, sf)
+	return runSingle(*listen, *remote, *httpAddr, *eta, *predictor, *margin, *accrual, *sync, *stats, reg, sf)
 }
 
 // storeFlags bundles the durable-store CLI knobs.
@@ -268,15 +267,7 @@ func singleHandler(mon *wanfd.Monitor, remote string, clk *sim.RealClock, reg *t
 	return mux
 }
 
-// transportMode maps the -batched flag onto the transport-mode axis.
-func transportMode(batched bool) wanfd.TransportMode {
-	if batched {
-		return wanfd.TransportBatched
-	}
-	return wanfd.TransportClassic
-}
-
-func runSingle(listen, remote, httpAddr string, eta time.Duration, predictor, margin string, accrual float64, sync bool, stats time.Duration, batched bool, reg *telemetry.Registry, sf storeFlags) error {
+func runSingle(listen, remote, httpAddr string, eta time.Duration, predictor, margin string, accrual float64, sync bool, stats time.Duration, reg *telemetry.Registry, sf storeFlags) error {
 	clk := sim.NewRealClock()
 	st, err := openQoSStore(sf, clk)
 	if err != nil {
@@ -302,7 +293,6 @@ func runSingle(listen, remote, httpAddr string, eta time.Duration, predictor, ma
 		wanfd.WithOnTrust(func(at time.Duration) {
 			fmt.Printf("%s TRUST     (after %v)\n", stamp(at), at.Round(time.Millisecond))
 		}),
-		wanfd.WithTransportMode(transportMode(batched)),
 	}
 	if accrual > 0 {
 		opts = append(opts, wanfd.WithAccrualThreshold(accrual))
@@ -398,7 +388,7 @@ func parsePeers(spec string) ([][2]string, error) {
 	return out, nil
 }
 
-func runCluster(listen, peersSpec, httpAddr string, eta time.Duration, predictor, margin string, stats time.Duration, batched bool, reg *telemetry.Registry, sf storeFlags) error {
+func runCluster(listen, peersSpec, httpAddr string, eta time.Duration, predictor, margin string, stats time.Duration, reg *telemetry.Registry, sf storeFlags) error {
 	peers, err := parsePeers(peersSpec)
 	if err != nil {
 		return err
@@ -424,7 +414,6 @@ func runCluster(listen, peersSpec, httpAddr string, eta time.Duration, predictor
 			}
 			fmt.Printf("%s %s %s\n", clk.Epoch().Add(at).Format("15:04:05.000"), state, peer)
 		}),
-		wanfd.WithTransportMode(transportMode(batched)),
 	}
 	for _, p := range peers {
 		opts = append(opts, wanfd.WithPeer(p[0], p[1]))

@@ -40,19 +40,19 @@ type config struct{ classic bool }
 // option mirrors wanfd's functional-option type.
 type option func(*config)
 
-// WithTransportMode is the replacement axis for the accreted boolean
+// WithArchitecture is the replacement axis for the accreted boolean
 // options.
-func WithTransportMode(classic bool) option {
+func WithArchitecture(classic bool) option {
 	return func(c *config) { c.classic = classic }
 }
 
-// WithBatchedTransport toggles the batched pipelines.
+// WithBatchedPipelines toggles the batched pipelines.
 //
-// Deprecated: use WithTransportMode.
-func WithBatchedTransport(enabled bool) option {
+// Deprecated: use WithArchitecture.
+func WithBatchedPipelines(enabled bool) option {
 	return func(c *config) { c.classic = !enabled }
 }
 
 func optionCaller() option {
-	return WithBatchedTransport(false) // violation: deprecated option shim
+	return WithBatchedPipelines(false) // violation: deprecated option shim
 }

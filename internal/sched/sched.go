@@ -78,9 +78,10 @@ func NewTimer(clk sim.Clock, fn func()) Rearmable {
 }
 
 // retimer adapts a plain AfterFunc clock to the Rearmable shape by
-// stopping and recreating the underlying timer — the legacy per-cycle
-// behaviour, kept as the fallback so the wheel can be disabled without a
-// second consumer code path.
+// stopping and recreating the underlying timer. Over sim.Engine it is the
+// exact-heap reference the engine-equivalence and replay tests compare
+// the wheel against; over sim.RealClock it drives the single-peer
+// Monitor's and the heartbeaters' deadlines.
 type retimer struct {
 	mu  sync.Mutex
 	clk sim.Clock

@@ -52,28 +52,22 @@ func waitEgress(t *testing.T, n *UDPNetwork, what string, cond func(EgressStats)
 	return st
 }
 
-// TestBatchedEgressDefaultOn pins the pipeline selection: batched egress
-// is the default, UnbatchedEgress is the classic A/B baseline, and a
-// classic endpoint reports all-zero egress counters.
+// TestBatchedEgressDefaultOn pins that a default endpoint sends through
+// the egress pipeline: its counters start at zero, and one Send is one
+// packet handed to the kernel by one flush.
 func TestBatchedEgressDefaultOn(t *testing.T) {
-	a, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
+	_, b := batchedPair(t, UDPConfig{})
+	if st := b.EgressStats(); st != (EgressStats{}) {
+		t.Errorf("fresh endpoint reports egress stats %+v", st)
+	}
+	sender, err := b.Attach(2, recvFunc(func(*neko.Message) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { a.Close() })
-	if !a.BatchedEgress() {
-		t.Error("batched egress not enabled by default")
-	}
-	c, err := NewUDPNetwork(UDPConfig{LocalID: 3, Listen: "127.0.0.1:0", UnbatchedEgress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if c.BatchedEgress() {
-		t.Error("UnbatchedEgress config still built the egress pipeline")
-	}
-	if st := c.EgressStats(); st != (EgressStats{}) {
-		t.Errorf("classic endpoint reports egress stats %+v", st)
+	sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: 1, SentAt: b.Clock().Now()})
+	st := waitEgress(t, b, "one flushed packet", func(st EgressStats) bool { return st.Packets == 1 })
+	if st.Flushes != 1 {
+		t.Errorf("flushes = %d, want 1", st.Flushes)
 	}
 }
 
@@ -126,14 +120,10 @@ func TestEgressPerPeerOrder(t *testing.T) {
 // TestEgressOverflowCountedNeverBlocks pins the back-pressure policy: a
 // full shard ring drops the packet (counted) instead of blocking the
 // sender — a stalled flusher must never stall the heartbeat grid. The
-// egress state is installed without its flusher goroutine, so the rings
+// endpoint is a bare struct holding only the egress state and the buffer
+// pool — no socket and no flusher goroutine — so the rings
 // deterministically fill.
 func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", UnbatchedEgress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
 	eg := &egressState{
 		shards:    make([]egressShard, egressShards),
 		shardMask: egressShards - 1,
@@ -143,7 +133,10 @@ func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
 	for i := range eg.shards {
 		eg.shards[i].ring = freelist.NewRing[egressItem](egressRingCap)
 	}
-	n.egress = eg
+	n := &UDPNetwork{
+		egress: eg,
+		bufs:   freelist.NewPool(sendBufPoolCap, func() []byte { return make([]byte, 0, maxPacketSize) }),
+	}
 
 	const overflow = 16
 	done := make(chan struct{})
@@ -166,7 +159,6 @@ func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
 	if got := eg.shards[uint64(2)%egressShards].ring.Len(); got != egressRingCap {
 		t.Errorf("shard holds %d packets, want full ring of %d", got, egressRingCap)
 	}
-	n.egress = nil // Close must not signal a flusher that was never started
 }
 
 // TestEgressUnknownPeerDropped pins the resolve step: a destination
@@ -202,10 +194,10 @@ func TestEgressUnknownPeerDropped(t *testing.T) {
 	}
 }
 
-// TestEgressSendErrorsCounted is the batched mirror of the classic
-// accounting pin: an unencodable message fails on the producer
-// synchronously; a dead socket surfaces asynchronously from the flusher.
-// Both end up in SendErrors instead of vanishing.
+// TestEgressSendErrorsCounted pins the send accounting: an unencodable
+// message fails on the producer synchronously; a dead socket surfaces
+// asynchronously from the flusher. Both end up in SendErrors instead of
+// vanishing, and neither counts as sent.
 func TestEgressSendErrorsCounted(t *testing.T) {
 	a, _ := batchedPair(t, UDPConfig{})
 	sender, err := a.Attach(1, recvFunc(func(*neko.Message) {}))
@@ -219,6 +211,9 @@ func TestEgressSendErrorsCounted(t *testing.T) {
 	}
 	if got := a.EgressStats().Packets; got != 0 {
 		t.Fatalf("packets = %d, want 0", got)
+	}
+	if sent, _, _ := a.Stats(); sent != 0 {
+		t.Errorf("sent = %d, want 0 — failed sends must not count as sent", sent)
 	}
 	// Socket error: the flusher hits it on the next flush cycle.
 	a.conn.Close()

@@ -22,8 +22,9 @@ const (
 	ingestShards  = 16
 	ingestRingCap = 512
 	maxDrainBatch = 64
-	// sendBufPoolCap bounds recycled egress packet buffers; sends are
-	// serialized per caller so a handful covers concurrent senders.
+	// sendBufPoolCap is the egress buffer pool's headroom beyond what the
+	// shard rings and the flusher can hold: buffers concurrent senders are
+	// encoding into.
 	sendBufPoolCap = 64
 )
 
@@ -88,12 +89,9 @@ type IngestStats struct {
 	PoolMisses uint64
 }
 
-// IngestStats returns the batched pipeline counters (zero when unbatched).
+// IngestStats returns the batched pipeline counters.
 func (n *UDPNetwork) IngestStats() IngestStats {
 	ig := n.ingest
-	if ig == nil {
-		return IngestStats{}
-	}
 	return IngestStats{
 		Drains:     ig.drains.Load(),
 		RingDrops:  ig.ringDrops.Load(),
@@ -149,7 +147,7 @@ func (n *UDPNetwork) startIngest() {
 	}
 	conns := []*net.UDPConn{n.conn}
 	for len(conns) < maxReaders(n.cfg.Readers) {
-		c, err := listenUDP(n.conn.LocalAddr().String(), true)
+		c, err := listenUDP(n.conn.LocalAddr().String())
 		if err != nil {
 			break
 		}
@@ -234,7 +232,7 @@ func (n *UDPNetwork) processBatch(batch []pending, bk *shardBuckets) {
 			n.recycle(p.m)
 			continue
 		case MsgTimeResp:
-			n.handleTimeResp(p.m, stamp)
+			n.handleTimeResp(p.m)
 			n.recycle(p.m)
 			continue
 		}
@@ -377,42 +375,18 @@ type Injector struct {
 
 // NewInjector returns a packet injector for this endpoint.
 func (n *UDPNetwork) NewInjector() *Injector {
-	shards := 1
-	if n.ingest != nil {
-		shards = len(n.ingest.shards)
-	}
 	return &Injector{
 		n:     n,
 		batch: make([]pending, 0, maxDrainBatch),
 		msgs:  make([]*neko.Message, maxDrainBatch),
-		bk:    newShardBuckets(shards),
+		bk:    newShardBuckets(len(n.ingest.shards)),
 	}
 }
 
-// InjectBatch runs packets through the exact receive path: the batched
-// pipeline processes them in drain-sized chunks (each chunk one stamped
-// batch), the classic path decodes and dispatches them one by one. srcs
-// must be parallel to pkts.
+// InjectBatch runs packets through the exact receive path, in drain-sized
+// chunks (each chunk one stamped batch). srcs must be parallel to pkts.
 func (in *Injector) InjectBatch(pkts [][]byte, srcs []netip.AddrPort) {
 	n := in.n
-	if n.ingest == nil {
-		for i, pkt := range pkts {
-			m := &neko.Message{}
-			sentUnix, err := DecodeInto(m, pkt)
-			if err != nil {
-				n.malformed.Add(1)
-				n.mDecodeErr.Inc()
-				continue
-			}
-			var off int64
-			if id, o, ok := n.attributeAddr(unmapAP(srcs[i])); ok {
-				m.From = id
-				off = o
-			}
-			n.dispatch(m, sentUnix, off)
-		}
-		return
-	}
 	for len(pkts) > 0 {
 		chunk := len(pkts)
 		if chunk > maxDrainBatch {

@@ -115,9 +115,6 @@ func TestBatchedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
-	if !a.Batched() {
-		t.Fatal("batched pipeline not enabled by default")
-	}
 	b, err := NewUDPNetwork(UDPConfig{
 		LocalID: 2,
 		Listen:  "127.0.0.1:0",
@@ -359,127 +356,6 @@ type countRecv struct{ n *int }
 func (c countRecv) Receive(*neko.Message) { *c.n++ }
 
 func (c countRecv) ReceiveBatch(ms []*neko.Message, _ time.Duration) { *c.n += len(ms) }
-
-// classicEgressPair builds two connected endpoints with the batched
-// egress pipeline disabled: sends are synchronous, so the zero-alloc and
-// accounting pins below can assert immediately after Send returns. The
-// batched pipeline has its own equivalents in egress_test.go.
-func classicEgressPair(t *testing.T) (*UDPNetwork, *UDPNetwork) {
-	t.Helper()
-	a, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", UnbatchedEgress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	b, err := NewUDPNetwork(UDPConfig{
-		LocalID:         2,
-		Listen:          "127.0.0.1:0",
-		Peers:           map[neko.ProcessID]string{1: a.LocalAddr().String()},
-		UnbatchedEgress: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	return a, b
-}
-
-// TestSendZeroAlloc pins the classic egress half: encoding into a pooled
-// buffer and writing via WriteToUDPAddrPort allocates nothing per send.
-func TestSendZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc accounting holds only in normal builds")
-	}
-	a, b := classicEgressPair(t)
-	if _, err := b.Attach(2, recvFunc(func(*neko.Message) {})); err != nil {
-		t.Fatal(err)
-	}
-	sender, err := a.Attach(1, recvFunc(func(*neko.Message) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat, Seq: 1}
-	sender.Send(m) // warm the buffer pool
-	if avg := testing.AllocsPerRun(200, func() {
-		m.Seq++
-		m.SentAt = a.Clock().Now()
-		sender.Send(m)
-	}); avg != 0 {
-		t.Errorf("steady-state send allocates %.2f/op, want 0", avg)
-	}
-}
-
-// TestSendErrorsCounted pins the classic egress accounting: an
-// unencodable message and a failed socket write both increment the
-// send-error counter instead of vanishing silently.
-func TestSendErrorsCounted(t *testing.T) {
-	a, b := classicEgressPair(t)
-	sender, err := a.Attach(1, recvFunc(func(*neko.Message) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = b
-	// Encode error: payload over the MTU budget.
-	sender.Send(&neko.Message{From: 1, To: 2, Payload: make([]byte, maxPayload+1)})
-	if got := a.SendErrors(); got != 1 {
-		t.Fatalf("send errors after oversized payload = %d, want 1", got)
-	}
-	sent, _, _ := a.Stats()
-	if sent != 0 {
-		t.Errorf("sent = %d, want 0 — failed sends must not count as sent", sent)
-	}
-	// Write error: pull the socket out from under the sender.
-	a.conn.Close()
-	sender.Send(&neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat, Seq: 1})
-	if got := a.SendErrors(); got != 2 {
-		t.Errorf("send errors after closed socket = %d, want 2", got)
-	}
-}
-
-// TestUnbatchedConfigKeepsClassicPath pins the A/B baseline: with
-// Unbatched set the endpoint must not run the ingest pipeline, and
-// delivery still works end to end.
-func TestUnbatchedConfigKeepsClassicPath(t *testing.T) {
-	a, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Unbatched: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	if a.Batched() {
-		t.Fatal("Unbatched config still built the ingest pipeline")
-	}
-	if st := a.IngestStats(); st != (IngestStats{}) {
-		t.Errorf("unbatched endpoint reports ingest stats %+v", st)
-	}
-	b, err := NewUDPNetwork(UDPConfig{
-		LocalID: 2,
-		Listen:  "127.0.0.1:0",
-		Peers:   map[neko.ProcessID]string{1: a.LocalAddr().String()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	rcv := &batchRecv{}
-	if _, err := a.Attach(1, rcv); err != nil {
-		t.Fatal(err)
-	}
-	sender, err := b.Attach(2, recvFunc(func(*neko.Message) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: 1, SentAt: b.Clock().Now()})
-	waitReceived(t, a, 1)
-	if rcv.count() != 1 {
-		t.Errorf("delivered %d messages, want 1", rcv.count())
-	}
-}
 
 // TestReusePortReaders exercises the SO_REUSEPORT multi-reader
 // configuration where the platform supports it: all datagrams must arrive

@@ -19,7 +19,7 @@ func churnAddr(i int) string {
 // probe lengths bounded, and table capacity stable across cycles rather
 // than ratcheting upward.
 func TestPeerChurnCompaction(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Unbatched: true, UnbatchedEgress: true})
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,24 @@ func TestAddrKey6Packing(t *testing.T) {
 	}
 }
 
+// attributed resolves a source address through the receive path's
+// lookup, as processBatch does for each drained datagram.
+func attributed(n *UDPNetwork, ap netip.AddrPort) (neko.ProcessID, bool) {
+	n.peerMu.RLock()
+	defer n.peerMu.RUnlock()
+	if ps := n.lookupAddrLocked(ap); ps != nil {
+		return ps.id, true
+	}
+	return 0, false
+}
+
 // TestIPv6LookupEquivalence proves the packed two-word index resolves
 // exactly the peers a structural address comparison would: hits on the
 // registered address+port, misses on swapped halves and foreign ports,
 // and coexistence of same-address different-port peers on one probe
 // chain.
 func TestIPv6LookupEquivalence(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Unbatched: true, UnbatchedEgress: true})
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +142,9 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 
 	for id, addr := range peers {
 		ap := netip.MustParseAddrPort(addr)
-		got, _, ok := n.attributeAddr(ap)
+		got, ok := attributed(n, ap)
 		if !ok || got != id {
-			t.Fatalf("attributeAddr(%s) = %d, %v, want %d", addr, got, ok, id)
+			t.Fatalf("attributed(%s) = %d, %v, want %d", addr, got, ok, id)
 		}
 	}
 	for _, miss := range []string{
@@ -141,8 +152,8 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 		"[2001:db8::3]:7001", // unregistered address
 		"[db8:2001::1]:7001", // first half permuted
 	} {
-		if id, _, ok := n.attributeAddr(netip.MustParseAddrPort(miss)); ok {
-			t.Fatalf("attributeAddr(%s) resolved to peer %d, want miss", miss, id)
+		if id, ok := attributed(n, netip.MustParseAddrPort(miss)); ok {
+			t.Fatalf("attributed(%s) resolved to peer %d, want miss", miss, id)
 		}
 	}
 
@@ -151,10 +162,10 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 	if err := n.RemovePeer(2); err != nil {
 		t.Fatal(err)
 	}
-	if id, _, ok := n.attributeAddr(netip.MustParseAddrPort("[2001:db8::1]:7002")); !ok || id != 4 {
-		t.Fatalf("after removing peer 2, attributeAddr sibling = %d, %v, want 4", id, ok)
+	if id, ok := attributed(n, netip.MustParseAddrPort("[2001:db8::1]:7002")); !ok || id != 4 {
+		t.Fatalf("after removing peer 2, attributed sibling = %d, %v, want 4", id, ok)
 	}
-	if id, _, ok := n.attributeAddr(netip.MustParseAddrPort("[2001:db8::1]:7001")); ok {
+	if id, ok := attributed(n, netip.MustParseAddrPort("[2001:db8::1]:7001")); ok {
 		t.Fatalf("removed peer 2 still attributed as %d", id)
 	}
 }
@@ -163,7 +174,7 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 // two-word table must also compact tombstones and hold probe lengths
 // bounded under full add/remove cycles.
 func TestIPv6ChurnCompaction(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Unbatched: true, UnbatchedEgress: true})
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

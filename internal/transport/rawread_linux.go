@@ -70,7 +70,7 @@ func (r *mmsgReader) recv(fd int, max int) (int, syscall.Errno) {
 // keys; IPv6 zone/scope ids are deliberately dropped — link-local peers
 // are out of scope for a WAN failure detector. An unknown family yields a
 // zero address: the peer lookup will miss and the packet flows through
-// unattributed, like the classic path does for unknown senders.
+// unattributed, as any unknown sender does.
 func (r *mmsgReader) src(i int) netip.AddrPort {
 	rsa := &r.sas[i]
 	switch rsa.Addr.Family {

@@ -12,7 +12,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	defer n.wg.Done()
 	buf := make([]byte, maxPacketSize)
 	batch := make([]pending, 0, 1)
-	bk := newShardBuckets()
+	bk := newShardBuckets(len(n.ingest.shards))
 	for {
 		nb, src, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {

@@ -309,10 +309,18 @@ func TestUDPMessageDelivery(t *testing.T) {
 			t.Errorf("implausible mapped SentAt %v", m.SentAt)
 		}
 	}
+	// Both pipelines publish their counts after the hand-off: the flusher
+	// once sendmmsg returns, the consumer once the receiver returns — so
+	// either can trail the delivery observed above.
 	sent, _, _ := a.Stats()
+	for deadline := time.Now().Add(5 * time.Second); sent < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		sent, _, _ = a.Stats()
+	}
 	if sent != 3 {
 		t.Errorf("sent = %d, want 3", sent)
 	}
+	waitReceived(t, b, 3)
 	_, received, _ := b.Stats()
 	if received != 3 {
 		t.Errorf("received = %d, want 3", received)

@@ -49,21 +49,11 @@ type UDPConfig struct {
 	// Telemetry, when non-nil, receives live packet counters
 	// (sent/received/decode errors/drops). Nil disables instrumentation.
 	Telemetry *telemetry.Registry
-	// Unbatched disables the batched zero-allocation ingest pipeline and
-	// restores the classic one-blocking-read, one-decode-allocation,
-	// direct-dispatch receive loop. The classic path is kept as the A/B
-	// baseline for BenchmarkIngest; see WithBatchedTransport.
-	Unbatched bool
 	// Readers is the number of reader sockets (and drain goroutines) the
 	// batched pipeline opens via SO_REUSEPORT; 0 or 1 means a single
 	// reader. Values above 1 are honoured only where SO_REUSEPORT is
 	// available (Linux) and are otherwise clamped to 1.
 	Readers int
-	// UnbatchedEgress disables the batched send pipeline (egress.go) and
-	// restores the classic one-write-syscall-per-datagram send path. The
-	// classic path is kept as the A/B baseline for BenchmarkEgress; see
-	// WithPipeline.
-	UnbatchedEgress bool
 	// EgressBatch is the maximum datagrams per egress flush (sendmmsg
 	// vector length on linux); 0 selects defaultEgressBatch.
 	EgressBatch int
@@ -109,13 +99,13 @@ type receiverBox struct {
 // local run clock, after subtracting the peer clock offset estimated by
 // SyncWith.
 //
-// By default reception runs through the batched ingest pipeline (see
-// ingest.go): non-blocking drain loops pull every queued datagram per
-// readiness wakeup, decode into pooled messages, stamp each drained batch
-// with a single clock read, and hand per-shard batches to a consumer
-// goroutine over bounded lock-free rings — zero allocations and no
-// detector mutex on the drain path. UDPConfig.Unbatched restores the
-// classic per-packet loop.
+// Reception runs through the batched ingest pipeline (see ingest.go):
+// non-blocking drain loops pull every queued datagram per readiness
+// wakeup, decode into pooled messages, stamp each drained batch with a
+// single clock read, and hand per-shard batches to a consumer goroutine
+// over bounded lock-free rings — zero allocations and no detector mutex
+// on the drain path. Sending runs through the batched egress pipeline
+// (see egress.go).
 type UDPNetwork struct {
 	cfg       UDPConfig
 	conn      *net.UDPConn
@@ -162,9 +152,9 @@ type UDPNetwork struct {
 	// steady-state send path; the ingest side has its own message pool.
 	bufs *freelist.Pool[[]byte]
 
-	// ingest is the batched receive pipeline; nil when cfg.Unbatched.
+	// ingest is the batched receive pipeline.
 	ingest *ingestState
-	// egress is the batched send pipeline; nil when cfg.UnbatchedEgress.
+	// egress is the batched send pipeline.
 	egress *egressState
 	// extra are the SO_REUSEPORT reader sockets beyond conn.
 	extra []*net.UDPConn
@@ -181,8 +171,8 @@ type UDPNetwork struct {
 	mSent, mReceived, mDecodeErr, mDropped, mSendErr *telemetry.Counter
 }
 
-// NewUDPNetwork opens the socket and starts the receive loop. Close must be
-// called to release the socket.
+// NewUDPNetwork opens the socket and starts the ingest and egress
+// pipelines. Close must be called to release the socket.
 func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	if cfg.Listen == "" {
 		return nil, fmt.Errorf("transport: missing listen address")
@@ -197,8 +187,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	if hint < len(cfg.Peers) {
 		hint = len(cfg.Peers)
 	}
-	batched := !cfg.Unbatched
-	conn, err := listenUDP(cfg.Listen, batched)
+	conn, err := listenUDP(cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", cfg.Listen, err)
 	}
@@ -231,10 +220,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	// The egress pipeline can pin a full complement of encoded packets in
 	// its shard rings plus one in-flight batch; size the buffer freelist to
 	// cover that so a loaded sender still recycles instead of allocating.
-	bufCap := sendBufPoolCap
-	if !cfg.UnbatchedEgress {
-		bufCap = shardCount(cfg.EgressShards, egressShards)*egressRingCap + 2*maxEgressBatch + sendBufPoolCap
-	}
+	bufCap := shardCount(cfg.EgressShards, egressShards)*egressRingCap + 2*maxEgressBatch + sendBufPoolCap
 	n.bufs = freelist.NewPool(bufCap, func() []byte {
 		return make([]byte, 0, maxPacketSize)
 	})
@@ -243,15 +229,8 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 		n.mDecodeErr, n.mDropped = tm.DecodeErrors, tm.Dropped
 		n.mSendErr = tm.SendErrors
 	}
-	if batched {
-		n.startIngest()
-	} else {
-		n.wg.Add(1)
-		go n.readLoop()
-	}
-	if !cfg.UnbatchedEgress {
-		n.startEgress()
-	}
+	n.startIngest()
+	n.startEgress()
 	return n, nil
 }
 
@@ -267,13 +246,6 @@ func (n *UDPNetwork) WallTime() time.Time { return n.clk.WallTime() }
 // wallNano is WallTime as Unix nanoseconds, the unit the wire format and
 // the NTP-style sync exchange carry.
 func (n *UDPNetwork) wallNano() int64 { return n.clk.WallTime().UnixNano() }
-
-// Batched reports whether the endpoint runs the batched ingest pipeline.
-func (n *UDPNetwork) Batched() bool { return n.ingest != nil }
-
-// BatchedEgress reports whether the endpoint runs the batched send
-// pipeline.
-func (n *UDPNetwork) BatchedEgress() bool { return n.egress != nil }
 
 // LocalAddr returns the bound UDP address.
 func (n *UDPNetwork) LocalAddr() *net.UDPAddr {
@@ -390,17 +362,6 @@ func (n *UDPNetwork) setPeerOffset(id neko.ProcessID, off int64) bool {
 	return false
 }
 
-// attributeAddr resolves a source address (already Unmap()ed) to the
-// registered peer's id and clock offset.
-func (n *UDPNetwork) attributeAddr(ap netip.AddrPort) (id neko.ProcessID, off int64, ok bool) {
-	n.peerMu.RLock()
-	defer n.peerMu.RUnlock()
-	if ps := n.lookupAddrLocked(ap); ps != nil {
-		return ps.id, ps.offset.Load(), true
-	}
-	return 0, 0, false
-}
-
 // addrKey4 packs an unmapped IPv4 address and port into one map key word;
 // ok is false for IPv6 endpoints, which use the two-word addrKey6.
 func addrKey4(ap netip.AddrPort) (uint64, bool) {
@@ -463,106 +424,9 @@ func (n *UDPNetwork) Attach(id neko.ProcessID, r neko.Receiver) (neko.Sender, er
 
 type udpSender struct{ n *UDPNetwork }
 
-func (s udpSender) Send(m *neko.Message) { s.n.send(m) }
-
-func (n *UDPNetwork) send(m *neko.Message) {
-	if n.egress != nil {
-		// Batched path: encode here, resolve and flush on the egress
-		// goroutine (one sendmmsg per batch).
-		n.enqueue(m)
-		return
-	}
-	ap, ok := n.peerAddr(m.To)
-	if !ok {
-		n.mDropped.Inc()
-		return
-	}
-	// Map the run-clock SentAt to the wall clock for the wire.
-	sentUnix := n.epochNano + int64(m.SentAt)
-	buf := n.bufs.Get()
-	out, err := Encode(buf, m, sentUnix)
-	if err != nil {
-		// An unencodable message (oversized payload) is a sender bug;
-		// count it rather than dropping it on the floor.
-		n.sendErrors.Add(1)
-		n.mSendErr.Inc()
-		n.bufs.Put(buf[:0])
-		return
-	}
-	nw, err := n.conn.WriteToUDPAddrPort(out, ap)
-	if err != nil || nw < len(out) {
-		n.sendErrors.Add(1)
-		n.mSendErr.Inc()
-		n.bufs.Put(out[:0])
-		return
-	}
-	n.bufs.Put(out[:0])
-	n.sent.Add(1)
-	n.mSent.Inc()
-}
-
-// readLoop is the classic (unbatched) receive path: one blocking read, one
-// decode allocation and one direct dispatch per packet.
-func (n *UDPNetwork) readLoop() {
-	defer n.wg.Done()
-	buf := make([]byte, maxPacketSize)
-	for {
-		nb, src, err := n.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			select {
-			case <-n.closed:
-				return
-			default:
-			}
-			// Transient read error: keep serving.
-			continue
-		}
-		m := &neko.Message{}
-		sentUnix, err := DecodeInto(m, buf[:nb])
-		if err != nil {
-			n.malformed.Add(1)
-			n.mDecodeErr.Inc()
-			continue
-		}
-		// Identify the sender by source address when it is a configured
-		// peer: addresses are authoritative over the self-reported From
-		// field, so several remote heartbeaters can coexist without
-		// coordinating process ids.
-		var offset int64
-		if id, off, ok := n.attributeAddr(unmapAP(src)); ok {
-			m.From = id
-			offset = off
-		}
-		n.dispatch(m, sentUnix, offset)
-	}
-}
-
-func (n *UDPNetwork) dispatch(m *neko.Message, sentUnix, offset int64) {
-	now := n.clk.Now()
-	switch m.Type {
-	case MsgTimeReq:
-		n.handleTimeReq(m)
-		return
-	case MsgTimeResp:
-		n.handleTimeResp(m, now)
-		return
-	}
-	box := n.receiver.Load()
-	if box == nil {
-		n.mDropped.Inc()
-		return
-	}
-	// Map the sender's wall-clock timestamp onto the local run clock,
-	// correcting the estimated peer clock offset.
-	m.SentAt = time.Duration(sentUnix - n.epochNano - offset)
-	n.received.Add(1)
-	n.mReceived.Inc()
-	if box.tr != nil {
-		box.tr.ReceiveAt(m, now)
-		return
-	}
-	box.r.Receive(m)
-}
+// Send encodes on the caller's goroutine and hands the packet to the
+// egress pipeline, which resolves and flushes it (one sendmmsg per batch).
+func (s udpSender) Send(m *neko.Message) { s.n.enqueue(m) }
 
 // handleTimeReq answers an NTP-style exchange: echo T1, add our receive
 // (T2) and send (T3) wall-clock times.
@@ -593,7 +457,7 @@ func (n *UDPNetwork) handleTimeReq(m *neko.Message) {
 	}
 }
 
-func (n *UDPNetwork) handleTimeResp(m *neko.Message, _ time.Duration) {
+func (n *UDPNetwork) handleTimeResp(m *neko.Message) {
 	p, err := decodeTimeSync(m.Payload)
 	if err != nil {
 		return
@@ -701,7 +565,7 @@ func (n *UDPNetwork) Stats() (sent, received, malformed uint64) {
 // messages, write errors and short writes.
 func (n *UDPNetwork) SendErrors() uint64 { return n.sendErrors.Load() }
 
-// Close shuts down the receive loop and releases the socket.
+// Close shuts down the pipelines and releases the socket.
 func (n *UDPNetwork) Close() error {
 	select {
 	case <-n.closed:

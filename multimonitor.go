@@ -12,7 +12,6 @@ import (
 	"wanfd/internal/layers"
 	"wanfd/internal/neko"
 	"wanfd/internal/sched"
-	"wanfd/internal/sim"
 	"wanfd/internal/store"
 	"wanfd/internal/telemetry"
 	"wanfd/internal/transport"
@@ -136,8 +135,7 @@ type MultiMonitor struct {
 	shardMask uint64
 	// wheels are the per-shard timing wheels all peer deadlines run on:
 	// shard i's detectors schedule on wheels[i], so the whole cluster
-	// expires timers on at most len(shards) lazy driver goroutines. The
-	// slice is empty when the monitor was built with WithTimerWheel(false).
+	// expires timers on at most len(shards) lazy driver goroutines.
 	wheels []*sched.Wheel
 
 	// Cluster-level telemetry; every field is nil (a no-op) when the
@@ -198,9 +196,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		LocalID:             multiMonitorID,
 		Listen:              listen,
 		Telemetry:           o.telemetry,
-		Unbatched:           o.batchedOff,
 		Readers:             o.readers,
-		UnbatchedEgress:     o.egressOff,
 		EgressBatch:         o.egressBatch,
 		EgressFlushInterval: o.egressFlushInterval,
 		IngestShards:        prof.ingestShards,
@@ -233,64 +229,62 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		mm.shards[i].ents = arena.New[peerEntry]()
 	}
 	mm.ctx = &neko.Context{ID: multiMonitorID, Clock: net.Clock()}
-	if !o.timerWheelOff {
-		var onBatch func(int, time.Duration)
-		if reg := o.telemetry; reg != nil {
-			lag := reg.Histogram(telemetry.MetricSchedBatchLag,
-				"Lag between the earliest deadline in an expiry batch and its collection.", nil)
-			// Histogram.Observe is lock-free, so concurrent shard drivers
-			// may share one series.
-			onBatch = func(_ int, l time.Duration) { lag.Observe(l.Seconds()) }
+	var onBatch func(int, time.Duration)
+	if reg := o.telemetry; reg != nil {
+		lag := reg.Histogram(telemetry.MetricSchedBatchLag,
+			"Lag between the earliest deadline in an expiry batch and its collection.", nil)
+		// Histogram.Observe is lock-free, so concurrent shard drivers
+		// may share one series.
+		onBatch = func(_ int, l time.Duration) { lag.Observe(l.Seconds()) }
+	}
+	var cpus []int
+	if o.pinDrivers {
+		cpus = sched.OnlineCPUs()
+	}
+	mm.wheels = make([]*sched.Wheel, prof.peerShards)
+	for i := range mm.wheels {
+		cfg := sched.Config{
+			Clock:       net.Clock(),
+			OnBatch:     onBatch,
+			FineSlots:   prof.fineSlots,
+			CoarseSlots: prof.coarseSlots,
 		}
-		var cpus []int
-		if o.pinDrivers {
-			cpus = sched.OnlineCPUs()
+		if len(cpus) > 0 {
+			// Stripe shard drivers round-robin over the online CPUs so
+			// the widest profiles (64 wheels) spread across the socket
+			// and each driver stays put between wakeups.
+			cfg.PinCPU = cpus[i%len(cpus)] + 1
 		}
-		mm.wheels = make([]*sched.Wheel, prof.peerShards)
-		for i := range mm.wheels {
-			cfg := sched.Config{
-				Clock:       net.Clock(),
-				OnBatch:     onBatch,
-				FineSlots:   prof.fineSlots,
-				CoarseSlots: prof.coarseSlots,
-			}
-			if len(cpus) > 0 {
-				// Stripe shard drivers round-robin over the online CPUs so
-				// the widest profiles (64 wheels) spread across the socket
-				// and each driver stays put between wakeups.
-				cfg.PinCPU = cpus[i%len(cpus)] + 1
-			}
-			mm.wheels[i] = sched.NewWheel(cfg)
-		}
-		if reg := o.telemetry; reg != nil {
-			reg.GaugeFunc(telemetry.MetricSchedTimers,
-				"Deadlines currently queued across the shard timing wheels.",
-				func() float64 { return float64(mm.SchedulerStats().Timers) })
-			reg.CounterFunc(telemetry.MetricSchedFired,
-				"Timing-wheel timers expired.",
-				func() float64 { return float64(mm.SchedulerStats().Fired) })
-			reg.CounterFunc(telemetry.MetricSchedCascades,
-				"Timers migrated between timing-wheel levels.",
-				func() float64 { return float64(mm.SchedulerStats().Cascades) })
-			reg.GaugeFunc(telemetry.MetricSchedMaxSlot,
-				"High-water mark of deadlines sharing one wheel slot on any shard.",
-				func() float64 { return float64(mm.SchedulerStats().MaxSlotOccupancy) })
-			reg.CounterFunc(telemetry.MetricSchedSlotsSkipped,
-				"Empty wheel slots crossed by bitmap skip-scan instead of probing.",
-				func() float64 { return float64(mm.SchedulerStats().SlotsSkipped) })
-			reg.CounterFunc(telemetry.MetricSchedWakeups,
-				"Shard driver advances (coalesced to occupied ticks).",
-				func() float64 { return float64(mm.SchedulerStats().Wakeups) })
-			reg.GaugeFunc(telemetry.MetricSchedFineOccupied,
-				"Fine-level wheel slots currently holding deadlines, summed over shards.",
-				func() float64 { return float64(mm.SchedulerStats().FineSlotsOccupied) })
-			reg.GaugeFunc(telemetry.MetricSchedCoarseOccupied,
-				"Coarse-level wheel slots currently holding deadlines, summed over shards.",
-				func() float64 { return float64(mm.SchedulerStats().CoarseSlotsOccupied) })
-			reg.GaugeFunc(telemetry.MetricSchedOverflow,
-				"Deadlines parked beyond the wheel horizon, summed over shards.",
-				func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
-		}
+		mm.wheels[i] = sched.NewWheel(cfg)
+	}
+	if reg := o.telemetry; reg != nil {
+		reg.GaugeFunc(telemetry.MetricSchedTimers,
+			"Deadlines currently queued across the shard timing wheels.",
+			func() float64 { return float64(mm.SchedulerStats().Timers) })
+		reg.CounterFunc(telemetry.MetricSchedFired,
+			"Timing-wheel timers expired.",
+			func() float64 { return float64(mm.SchedulerStats().Fired) })
+		reg.CounterFunc(telemetry.MetricSchedCascades,
+			"Timers migrated between timing-wheel levels.",
+			func() float64 { return float64(mm.SchedulerStats().Cascades) })
+		reg.GaugeFunc(telemetry.MetricSchedMaxSlot,
+			"High-water mark of deadlines sharing one wheel slot on any shard.",
+			func() float64 { return float64(mm.SchedulerStats().MaxSlotOccupancy) })
+		reg.CounterFunc(telemetry.MetricSchedSlotsSkipped,
+			"Empty wheel slots crossed by bitmap skip-scan instead of probing.",
+			func() float64 { return float64(mm.SchedulerStats().SlotsSkipped) })
+		reg.CounterFunc(telemetry.MetricSchedWakeups,
+			"Shard driver advances (coalesced to occupied ticks).",
+			func() float64 { return float64(mm.SchedulerStats().Wakeups) })
+		reg.GaugeFunc(telemetry.MetricSchedFineOccupied,
+			"Fine-level wheel slots currently holding deadlines, summed over shards.",
+			func() float64 { return float64(mm.SchedulerStats().FineSlotsOccupied) })
+		reg.GaugeFunc(telemetry.MetricSchedCoarseOccupied,
+			"Coarse-level wheel slots currently holding deadlines, summed over shards.",
+			func() float64 { return float64(mm.SchedulerStats().CoarseSlotsOccupied) })
+		reg.GaugeFunc(telemetry.MetricSchedOverflow,
+			"Deadlines parked beyond the wheel horizon, summed over shards.",
+			func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
 	}
 	proc, err := neko.NewProcess(multiMonitorID, net.Clock(), net, mm.router)
 	if err != nil {
@@ -364,28 +358,37 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	// heartbeat sample, the listener for every transition. Nil (a no-op)
 	// when the monitor was built without WithStore.
 	rec := m.opts.qstore.Recorder(name)
+	// The detector's deadlines run on its shard's timing wheel, so
+	// membership churn and timer load distribute identically.
+	h := peerNameHash(name)
 	det, err := core.NewDetector(core.DetectorConfig{
 		Name:       name,
 		Predictor:  pred,
 		Margin:     margin,
 		Eta:        m.opts.eta,
-		Clock:      m.clockFor(name),
+		Clock:      m.wheels[h&m.shardMask],
 		Listener:   namedListener{name: name, onChange: m.opts.onChange, reg: m.opts.telemetry, rec: rec},
 		MinTimeout: m.opts.minTimeout,
 		Metrics:    m.opts.telemetry.DetectorMetrics(name),
 		Sample:     rec,
 	})
+	// From here on, every failure except the duplicate-name one retires
+	// the series DetectorMetrics just registered: the name never became a
+	// member. A duplicate keeps them — the registry handed back the live
+	// member's own counter.
 	if err != nil {
+		m.dropSeries(name)
 		return err
 	}
 	mon, err := layers.NewMonitor(det)
 	if err != nil {
+		m.dropSeries(name)
 		return err
 	}
 	if err := mon.Init(m.ctx); err != nil {
+		m.dropSeries(name)
 		return err
 	}
-	h := peerNameHash(name)
 	s := &m.shards[h&m.shardMask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,11 +401,13 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	// attribute packets to this id, the detector is already reachable.
 	if err := m.router.Route(id, mon); err != nil {
 		mon.Stop()
+		m.dropSeries(name)
 		return err
 	}
 	if err := m.net.AddPeer(id, addr); err != nil {
 		_ = m.router.Unroute(id)
 		mon.Stop()
+		m.dropSeries(name)
 		return err
 	}
 	idx, e := s.ents.Alloc()
@@ -455,28 +460,23 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	// Retire the peer's series and running QoS state so churn does not
 	// grow the exposition without bound; re-added names start fresh,
 	// matching the fresh-detector semantics.
+	m.dropSeries(name)
+	return nil
+}
+
+// dropSeries retires a peer name's telemetry series and running QoS
+// state.
+func (m *MultiMonitor) dropSeries(name string) {
 	if reg := m.opts.telemetry; reg != nil {
 		reg.DropSeries("peer", name)
 		reg.QoS().RemovePeer(name)
 	}
-	return nil
-}
-
-// clockFor returns the timer source for a peer's detector: its shard's
-// timing wheel, or the endpoint clock when the wheel is disabled. Timers
-// land on the same shard as the peer's table entry, so membership churn
-// and timer load distribute identically.
-func (m *MultiMonitor) clockFor(name string) sim.Clock {
-	if len(m.wheels) > 0 {
-		return m.wheels[peerNameHash(name)&m.shardMask]
-	}
-	return m.ctx.Clock
 }
 
 // SchedulerStats is an aggregate snapshot of a cluster monitor's shard
 // timing wheels.
 type SchedulerStats struct {
-	// Wheels is the number of shard wheels (0 with WithTimerWheel(false)).
+	// Wheels is the number of shard wheels.
 	Wheels int
 	// Timers is the number of deadlines currently queued.
 	Timers int
@@ -503,8 +503,7 @@ type SchedulerStats struct {
 // SchedulerStatsDetail.
 type WheelStats = sched.Stats
 
-// SchedulerStats aggregates the shard wheels' counters. All fields are
-// zero when the timing wheel is disabled.
+// SchedulerStats aggregates the shard wheels' counters.
 func (m *MultiMonitor) SchedulerStats() SchedulerStats {
 	var out SchedulerStats
 	for _, w := range m.wheels {
@@ -530,11 +529,8 @@ func (m *MultiMonitor) SchedulerStats() SchedulerStats {
 // shard, for occupancy and skip-scan analysis at the per-wheel grain the
 // aggregate hides. Like the table SnapshotDetail convention from the peer
 // state layer, the per-shard breakdown is opt-in: SchedulerStats stays the
-// cheap aggregate view. Nil when the timing wheel is disabled.
+// cheap aggregate view.
 func (m *MultiMonitor) SchedulerStatsDetail() []WheelStats {
-	if len(m.wheels) == 0 {
-		return nil
-	}
 	out := make([]WheelStats, len(m.wheels))
 	for i, w := range m.wheels {
 		out[i] = w.Stats()
@@ -639,7 +635,17 @@ func (m *MultiMonitor) Peers() int {
 // a stats endpoint polling it stays cheap at 1M peers. SnapshotDetail
 // adds the per-peer breakdown.
 func (m *MultiMonitor) Snapshot() ClusterSnapshot {
-	snap := ClusterSnapshot{Uptime: m.ctx.Clock.Now()}
+	snap := m.totals()
+	snap.Uptime = m.ctx.Clock.Now()
+	return snap
+}
+
+// totals walks the peer arenas in place, counting peers by output and
+// summing their detector counters — no per-peer materialization, so it
+// allocates the same at 1M peers as at 10. It fills Peers, Trusted,
+// Suspected and Totals.
+func (m *MultiMonitor) totals() ClusterSnapshot {
+	var snap ClusterSnapshot
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
@@ -697,9 +703,7 @@ func (m *MultiMonitor) Close() error {
 		e.mon.Stop()
 	}
 	for _, w := range m.wheels {
-		if w != nil {
-			w.Close()
-		}
+		w.Close()
 	}
 	return m.net.Close()
 }

@@ -14,7 +14,7 @@ func TestNormalizeSentinels(t *testing.T) {
 		{
 			name: "zero value gets paper defaults",
 			in:   options{},
-			want: options{predictor: "LAST", margin: "JAC_med", minTimeout: defaultMinTimeout},
+			want: options{predictor: "LAST", margin: "JAC_med", minTimeout: DefaultMinTimeout},
 		},
 		{
 			name: "explicit choices survive",
@@ -43,7 +43,7 @@ func TestResolveOptions(t *testing.T) {
 	if o.eta != time.Second {
 		t.Errorf("default eta = %v, want 1s", o.eta)
 	}
-	if o.predictor != "LAST" || o.margin != "JAC_med" || o.minTimeout != defaultMinTimeout {
+	if o.predictor != "LAST" || o.margin != "JAC_med" || o.minTimeout != DefaultMinTimeout {
 		t.Errorf("resolveOptions(nil) not normalized: %+v", o)
 	}
 
@@ -154,55 +154,22 @@ func TestNewMonitorOptions(t *testing.T) {
 	}
 }
 
-func TestWithTransportMode(t *testing.T) {
-	o := resolveOptions([]Option{WithTransportMode(TransportClassic)})
-	if !o.timerWheelOff || !o.batchedOff || !o.egressOff {
-		t.Errorf("TransportClassic must disable all batched stages: %+v", o)
-	}
-	// Re-selecting the default mode undoes an earlier classic selection —
-	// the axis is a mode, not a one-way latch.
-	o = resolveOptions([]Option{WithTransportMode(TransportClassic), WithTransportMode(TransportBatched)})
-	if o.timerWheelOff || o.batchedOff || o.egressOff {
-		t.Errorf("TransportBatched must re-enable all batched stages: %+v", o)
-	}
-}
-
 func TestWithPipeline(t *testing.T) {
-	// The zero config is a no-op: every stage stays on, every knob at its
-	// transport default.
+	// The zero config is a no-op: every knob stays at its transport
+	// default.
 	o := resolveOptions([]Option{WithPipeline(PipelineConfig{})})
-	if o.timerWheelOff || o.batchedOff || o.egressOff || o.egressBatch != 0 || o.egressFlushInterval != 0 || o.readers != 0 {
+	if o.egressBatch != 0 || o.egressFlushInterval != 0 || o.readers != 0 || o.expectedPeers != 0 || o.pinDrivers {
 		t.Errorf("zero PipelineConfig must change nothing: %+v", o)
 	}
 	o = resolveOptions([]Option{WithPipeline(PipelineConfig{
 		EgressBatch:         128,
 		EgressFlushInterval: 2 * time.Millisecond,
 		Readers:             3,
-		DisableTimerWheel:   true,
 	})})
 	if o.egressBatch != 128 || o.egressFlushInterval != 2*time.Millisecond || o.readers != 3 {
 		t.Errorf("pipeline knobs lost: %+v", o)
 	}
-	if !o.timerWheelOff {
-		t.Error("DisableTimerWheel not applied")
-	}
-	if o.batchedOff || o.egressOff {
-		t.Errorf("per-stage disable leaked into other stages: %+v", o)
-	}
-}
-
-func TestDeprecatedOptionShims(t *testing.T) {
-	// The legacy booleans must keep their exact meaning so existing callers
-	// migrate on their own schedule (fdlint flags them in-repo).
-	o := resolveOptions([]Option{WithTimerWheel(false)}) //nolint // exercising the deprecated shim
-	if !o.timerWheelOff || o.batchedOff || o.egressOff {
-		t.Errorf("WithTimerWheel(false) = %+v", o)
-	}
-	o = resolveOptions([]Option{WithBatchedTransport(false)})
-	if !o.batchedOff || !o.egressOff {
-		t.Errorf("WithBatchedTransport(false) must disable both transport pipelines: %+v", o)
-	}
-	if o.timerWheelOff {
-		t.Error("WithBatchedTransport must not touch the scheduler")
+	if o.expectedPeers != 0 || o.pinDrivers {
+		t.Errorf("one knob leaked into the others: %+v", o)
 	}
 }

@@ -1,18 +1,13 @@
 package wanfd
 
-import (
-	"wanfd/internal/arena"
-	"wanfd/internal/transport"
-)
+import "wanfd/internal/transport"
 
 // IngestStats is a snapshot of the batched receive pipeline's health
-// counters (drain cycles, ring drops, pool misses); all zero on a classic
-// transport.
+// counters (drain cycles, ring drops, pool misses).
 type IngestStats = transport.IngestStats
 
 // EgressStats is a snapshot of the batched send pipeline's health
-// counters (flushes, packets, syscalls saved, ring drops, send errors);
-// all zero on a classic transport.
+// counters (flushes, packets, syscalls saved, ring drops, send errors).
 type EgressStats = transport.EgressStats
 
 // Stats is the unified monitor snapshot: one coherent, versionable read
@@ -22,8 +17,7 @@ type EgressStats = transport.EgressStats
 // thin views of the same counters.
 //
 // Fields a monitor kind does not run are zero: a single-peer Monitor has
-// no shard scheduler, a classic-transport monitor has no batched
-// pipelines.
+// no shard scheduler.
 type Stats struct {
 	// Detector aggregates the detector counters — one detector's on a
 	// single-peer Monitor, summed across peers on a MultiMonitor.
@@ -58,25 +52,11 @@ func (m *Monitor) IngestStats() IngestStats { return m.net.IngestStats() }
 func (m *Monitor) EgressStats() EgressStats { return m.net.EgressStats() }
 
 // Stats returns the unified snapshot for this cluster monitor; Detector
-// sums the per-peer counters (the per-peer breakdown is Status). The sum
-// walks the peer arenas in place — no per-peer materialization, so the
-// call allocates the same at 1M peers as at 10.
+// sums the per-peer counters (the per-peer breakdown is Status) and equals
+// Snapshot().Totals.
 func (m *MultiMonitor) Stats() Stats {
-	var det DetectorStats
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-			st := e.det.DetectorStats()
-			det.Heartbeats += st.Heartbeats
-			det.Stale += st.Stale
-			det.Suspicions += st.Suspicions
-			return true
-		})
-		s.mu.RUnlock()
-	}
 	return Stats{
-		Detector:  det,
+		Detector:  m.totals().Totals,
 		Ingest:    m.net.IngestStats(),
 		Egress:    m.net.EgressStats(),
 		Scheduler: m.SchedulerStats(),

@@ -106,9 +106,7 @@ func newUDPMonitor(listen, remote string, o options) (*Monitor, error) {
 		Listen:              listen,
 		Peers:               map[neko.ProcessID]string{udpHeartbeaterID: remote},
 		Telemetry:           o.telemetry,
-		Unbatched:           o.batchedOff,
 		Readers:             o.readers,
-		UnbatchedEgress:     o.egressOff,
 		EgressBatch:         o.egressBatch,
 		EgressFlushInterval: o.egressFlushInterval,
 	})
