@@ -1,11 +1,11 @@
 package wanfd
 
 // Cluster-scale benchmarks for the sharded MultiMonitor: heartbeat
-// dispatch through the router to each peer's detector, which re-arms the
-// peer's deadline on its shard's timing wheel, with a static membership
-// and with a member continuously joining and leaving. The classic
-// baselines these once ran against (a single-map cluster and per-peer
-// time.AfterFunc deadlines) are recorded in BENCH_sched.json.
+// dispatch from a shard consumer's entry to each peer's detector, which
+// re-arms the peer's deadline on its shard's timing wheel, with a static
+// membership and with a member continuously joining and leaving. The
+// classic baselines these once ran against (a single-map cluster and
+// per-peer time.AfterFunc deadlines) are recorded in BENCH_sched.json.
 
 import (
 	"fmt"
@@ -39,12 +39,12 @@ func benchPeerAddr(i int) string {
 }
 
 // runReceiveBench measures the receive path: one op is dispatching one
-// heartbeat through the router to its peer's detector, round-robin over
-// the members — the fan-in path rather than the kernel UDP stack. In the
-// flapping scenario a background goroutine joins and leaves a member as
-// fast as it can — the membership write path. Only the flapper's own
-// shard lock is taken by a join/leave, so the measured dispatch latency
-// stays flat.
+// heartbeat through the entry the shard consumers call to its peer's
+// detector, round-robin over the members — the fan-in path rather than
+// the kernel UDP stack. In the flapping scenario a background goroutine
+// joins and leaves a member as fast as it can — the membership write
+// path. Only the flapper's own shard lock is taken by a join/leave, so
+// the measured dispatch latency stays flat.
 func runReceiveBench(b *testing.B, mm *MultiMonitor, peers int, flapping bool) {
 	b.Helper()
 	stop := make(chan struct{})
@@ -74,18 +74,24 @@ func runReceiveBench(b *testing.B, mm *MultiMonitor, peers int, flapping bool) {
 			}
 		}()
 	}
-	base := multiMonitorID + 1
+	ids := make([]neko.ProcessID, peers)
+	for p, name := range benchPeerNames(peers) {
+		ids[p] = peerIDOf(b, mm, name)
+	}
 	seqs := make([]int64, peers)
 	msg := &neko.Message{Type: neko.MsgHeartbeat}
+	one := []*neko.Message{msg}
+	clk := mm.net.Clock()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := i % peers
 		seqs[p]++
-		msg.From = base + neko.ProcessID(p)
+		now := clk.Now()
+		msg.From = ids[p]
 		msg.Seq = seqs[p]
-		msg.SentAt = mm.ctx.Clock.Now()
-		mm.router.Receive(msg)
+		msg.SentAt = now
+		mm.dispatch(one, now)
 	}
 	b.StopTimer()
 	// Sampled before teardown, with every member's deadline still armed:
@@ -134,7 +140,7 @@ func BenchmarkCluster1k(b *testing.B) {
 			runReceiveBench(b, mm, benchClusterPeers, sc.flapping)
 		})
 		// Same sharded stack with live telemetry: every dispatch counts
-		// packets, shard traffic, heartbeats, and observes two histograms.
+		// the heartbeat and observes two histograms.
 		// The sharded (uninstrumented) run above doubles as the disabled
 		// path — nil registry, dead branches only.
 		b.Run(sc.name+"/sharded-telemetry", func(b *testing.B) {

@@ -126,11 +126,13 @@ func runPipelineBench(b *testing.B, peers int, opts ...Option) {
 	defer func() { _ = mm.Close() }()
 	pkts, srcs := buildIngestTraffic(b, mm, peers)
 	inj := mm.net.NewInjector()
-	// Egress destinations reuse the registered peer addresses; ids are the
-	// transport ids the monitor assigned (multiMonitorID+1 onward). The
-	// router's inherited Send hands messages to the same endpoint the
-	// ingest half receives on.
-	base := multiMonitorID + 1
+	// Egress destinations reuse the registered peer addresses, by the
+	// transport ids the monitor assigned. The monitor's sender hands
+	// messages to the same endpoint the ingest half receives on.
+	ids := make([]neko.ProcessID, peers)
+	for p, name := range benchPeerNames(peers) {
+		ids[p] = peerIDOf(b, mm, name)
+	}
 	seqs := make([]int64, peers)
 	msg := &neko.Message{From: multiMonitorID, Type: neko.MsgHeartbeat}
 	clk := mm.net.Clock()
@@ -154,10 +156,10 @@ func runPipelineBench(b *testing.B, peers int, opts ...Option) {
 			p := i % peers
 			// Outbound half: one heartbeat through the egress pipeline.
 			seqs[p]++
-			msg.To = base + neko.ProcessID(p)
+			msg.To = ids[p]
 			msg.Seq = seqs[p]
 			msg.SentAt = clk.Now()
-			mm.router.Send(msg)
+			mm.out.Send(msg)
 			// Inbound half: one received heartbeat through the ingest
 			// pipeline (patched seq + sender timestamp).
 			binary.BigEndian.PutUint64(pkts[p][12:20], uint64(seqs[p]))

@@ -5,8 +5,8 @@ package wanfd
 // Injector, so one op is one datagram decoded, attributed, stamped and
 // delivered to its peer's detector — the full receive path minus the
 // kernel socket: pooled messages, one clock read and one peer-table lock
-// per drain batch, per-shard MPSC hand-off, batch delivery through
-// Router.ReceiveBatch. The classic per-packet baseline this pipeline
+// per drain batch, per-shard MPSC hand-off, batch delivery through the
+// monitor's shard dispatch. The classic per-packet baseline this pipeline
 // replaced is recorded in BENCH_ingest.json.
 
 import (

@@ -25,6 +25,23 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// peerIDOf returns the transport id the monitor assigned a live peer.
+func peerIDOf(tb testing.TB, m *MultiMonitor, name string) neko.ProcessID {
+	tb.Helper()
+	e, ok := m.lookup(name)
+	if !ok {
+		tb.Fatalf("unknown peer %q", name)
+	}
+	return e.id
+}
+
+// heartbeatFrom hands one heartbeat from id to the monitor's dispatch
+// entry, as a shard consumer would, stamped now.
+func heartbeatFrom(m *MultiMonitor, id neko.ProcessID, seq int64) {
+	now := m.net.Clock().Now()
+	m.dispatch([]*neko.Message{{Type: neko.MsgHeartbeat, From: id, Seq: seq, SentAt: now}}, now)
+}
+
 func TestMultiMonitorDynamicMembership(t *testing.T) {
 	addrs := freeUDPPorts(t, 3)
 	monAddr, aAddr, bAddr := addrs[0], addrs[1], addrs[2]
@@ -120,7 +137,8 @@ func TestMultiMonitorDynamicMembership(t *testing.T) {
 // TestMultiMonitorFailedAddPeerRetiresSeries pins the telemetry of a
 // rejected join: a name refused for its address never became a member, so
 // none of its per-peer series may stay in the exposition, while a name
-// refused as a duplicate must leave the live member's series in place.
+// refused as a duplicate — with a free or a taken address — must leave
+// the live member's series in place.
 func TestMultiMonitorFailedAddPeerRetiresSeries(t *testing.T) {
 	reg := telemetry.NewRegistry(16)
 	mon, err := NewMultiMonitor("127.0.0.1:0", WithTelemetry(reg))
@@ -136,6 +154,9 @@ func TestMultiMonitorFailedAddPeerRetiresSeries(t *testing.T) {
 	}
 	if err := mon.AddPeer("alpha", "127.0.0.1:40002"); err == nil {
 		t.Fatal("duplicate peer name accepted")
+	}
+	if err := mon.AddPeer("alpha", "127.0.0.1:40001"); err == nil {
+		t.Fatal("duplicate peer name and address accepted")
 	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -171,19 +192,15 @@ func TestMultiMonitorStatsMatchSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Process ids are assigned sequentially in AddPeer order. Peer 0 also
-	// gets a duplicate of seq 2, which its detector counts as stale.
+	// Peer 0 also gets a duplicate of seq 2, which its detector counts as
+	// stale.
 	for i := 0; i < peers; i++ {
+		id := peerIDOf(t, mon, fmt.Sprintf("peer-%d", i))
 		for _, seq := range []int64{1, 2, 3} {
-			mon.router.Receive(&neko.Message{
-				Type:   neko.MsgHeartbeat,
-				From:   multiMonitorID + 1 + neko.ProcessID(i),
-				Seq:    seq,
-				SentAt: mon.ctx.Clock.Now(),
-			})
+			heartbeatFrom(mon, id, seq)
 		}
 	}
-	mon.router.Receive(&neko.Message{Type: neko.MsgHeartbeat, From: multiMonitorID + 1, Seq: 2, SentAt: mon.ctx.Clock.Now()})
+	heartbeatFrom(mon, peerIDOf(t, mon, "peer-0"), 2)
 	// Once every peer is suspected the counters stop moving.
 	if !waitFor(t, 5*time.Second, func() bool { return mon.Snapshot().Suspected == peers }) {
 		t.Fatalf("peers never all suspected: %+v", mon.Snapshot())
@@ -287,17 +304,9 @@ func TestMultiMonitorChurnTimerLeak(t *testing.T) {
 			}
 		}
 		// One heartbeat per peer arms its detector deadline on the shard
-		// wheel. Process ids are assigned sequentially from the monitor's
-		// own id, in AddPeer order (same convention the cluster benchmark
-		// relies on).
-		now := mon.ctx.Clock.Now()
-		for i := range names {
-			mon.router.Receive(&neko.Message{
-				Type:   neko.MsgHeartbeat,
-				From:   multiMonitorID + 1 + neko.ProcessID(c*peers+i),
-				Seq:    1,
-				SentAt: now,
-			})
+		// wheel.
+		for _, name := range names {
+			heartbeatFrom(mon, peerIDOf(t, mon, name), 1)
 		}
 		if st := mon.SchedulerStats(); st.Timers != peers {
 			t.Fatalf("cycle %d: %d deadlines queued after heartbeats, want %d", c, st.Timers, peers)

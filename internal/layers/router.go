@@ -2,18 +2,15 @@ package layers
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
 	"wanfd/internal/neko"
-	"wanfd/internal/telemetry"
 )
 
 // routerShards is the default number of independent route-table shards.
-// Sixteen keeps the per-shard maps small at cluster scale while bounding
-// the memory of an idle router; NewRouterSharded widens it for the 1M
-// scale profile.
+// Sixteen keeps the per-shard maps small while bounding the memory of an
+// idle router; NewRouterSharded picks another count.
 const routerShards = 16
 
 // shardHash hashes a process id with 64-bit FNV-1a, so consecutive ids
@@ -42,28 +39,21 @@ func shardIndex(id neko.ProcessID) uint64 {
 type routerShard struct {
 	mu     sync.RWMutex
 	routes map[neko.ProcessID]neko.Receiver
-
-	// Per-shard telemetry; nil (no-op) without instrumentation. dispatch
-	// counts fan-in deliveries through this shard; contended counts
-	// dispatches that found the shard lock held by membership churn.
-	dispatch  *telemetry.Counter
-	contended *telemetry.Counter
 }
 
-// Router dispatches upward traffic to per-source receivers: the monitor-
-// side layer that lets one process watch many monitored processes over a
-// single network attachment, keeping one failure detector per peer.
-// Messages from unrouted sources pass up the stack unchanged.
+// Router dispatches upward traffic to per-source receivers: a monitor-
+// side layer that lets one process of a Neko stack watch many monitored
+// processes over a single network attachment, keeping one receiver per
+// peer. Messages from unrouted sources pass up the stack unchanged. (The
+// public cluster monitor does not stack it: it shards its peers itself
+// and dispatches straight to their detectors.)
 //
 // The route table is sharded by source id so the receive path, concurrent
-// queries and runtime Route/Unroute churn (dynamic cluster membership) do
-// not contend on a single lock.
+// queries and runtime Route/Unroute churn do not contend on a single lock.
 type Router struct {
 	neko.Base
-	shards    []routerShard
-	mask      uint64
-	unrouted  *telemetry.Counter
-	telemetry bool
+	shards []routerShard
+	mask   uint64
 }
 
 // NewRouter builds an empty router with the default shard count.
@@ -72,8 +62,8 @@ func NewRouter() *Router {
 }
 
 // NewRouterSharded builds an empty router with n route-table shards; n
-// must be a power of two. Scale profiles widen the shard count so
-// membership churn contends on a smaller fraction of dispatches.
+// must be a power of two. More shards make churn contend on a smaller
+// fraction of dispatches.
 func NewRouterSharded(n int) *Router {
 	if n <= 0 || n&(n-1) != 0 {
 		panic("layers: router shard count must be a power of two")
@@ -88,25 +78,6 @@ func NewRouterSharded(n int) *Router {
 // shard returns the shard owning one source id.
 func (r *Router) shard(id neko.ProcessID) *routerShard {
 	return &r.shards[shardHash(id)&r.mask]
-}
-
-// Instrument attaches live telemetry to the router: per-shard dispatch and
-// lock-contention counters plus an unrouted-message counter. Call before
-// the router starts receiving; a nil registry is a no-op.
-func (r *Router) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	for i := range r.shards {
-		shard := strconv.Itoa(i)
-		r.shards[i].dispatch = reg.Counter(telemetry.MetricRouterDispatch,
-			"Heartbeat fan-in dispatches per route-table shard.", "shard", shard)
-		r.shards[i].contended = reg.Counter(telemetry.MetricRouterContended,
-			"Dispatches that found the shard lock held (membership churn contention).", "shard", shard)
-	}
-	r.unrouted = reg.Counter(telemetry.MetricRouterUnrouted,
-		"Messages from unrouted sources passed up the stack.")
-	r.telemetry = true
 }
 
 var _ neko.Layer = (*Router)(nil)
@@ -154,26 +125,13 @@ func (r *Router) Routed() int {
 // Receive dispatches by the message's source.
 func (r *Router) Receive(m *neko.Message) {
 	s := r.shard(m.From)
-	if r.telemetry {
-		// TryRLock failure means a writer (membership churn) holds this
-		// shard — the contention the sharded design bounds to 1/16 of
-		// dispatches. Measured only when instrumented, so the uninstrumented
-		// hot path keeps the plain RLock.
-		if !s.mu.TryRLock() {
-			s.contended.Inc()
-			s.mu.RLock()
-		}
-		s.dispatch.Inc()
-	} else {
-		s.mu.RLock()
-	}
+	s.mu.RLock()
 	rcv, ok := s.routes[m.From]
 	s.mu.RUnlock()
 	if ok {
 		rcv.Receive(m)
 		return
 	}
-	r.unrouted.Inc()
 	r.Base.Receive(m)
 }
 
@@ -181,15 +139,7 @@ func (r *Router) Receive(m *neko.Message) {
 // the route target accepts it.
 func (r *Router) ReceiveAt(m *neko.Message, at time.Duration) {
 	s := r.shard(m.From)
-	if r.telemetry {
-		if !s.mu.TryRLock() {
-			s.contended.Inc()
-			s.mu.RLock()
-		}
-		s.dispatch.Inc()
-	} else {
-		s.mu.RLock()
-	}
+	s.mu.RLock()
 	rcv, ok := s.routes[m.From]
 	s.mu.RUnlock()
 	if ok {
@@ -200,7 +150,6 @@ func (r *Router) ReceiveAt(m *neko.Message, at time.Duration) {
 		rcv.Receive(m)
 		return
 	}
-	r.unrouted.Inc()
 	r.Base.Receive(m)
 }
 
@@ -210,41 +159,30 @@ func (r *Router) ReceiveAt(m *neko.Message, at time.Duration) {
 // interface assertion are paid once per run, not once per message.
 func (r *Router) ReceiveBatch(ms []*neko.Message, at time.Duration) {
 	var (
-		from     neko.ProcessID
-		rcv      neko.Receiver
-		tr       neko.TimedReceiver
-		routed   bool
-		dispatch *telemetry.Counter
-		valid    bool
+		from   neko.ProcessID
+		rcv    neko.Receiver
+		tr     neko.TimedReceiver
+		routed bool
+		valid  bool
 	)
 	for _, m := range ms {
 		if !valid || m.From != from {
 			s := r.shard(m.From)
-			if r.telemetry {
-				if !s.mu.TryRLock() {
-					s.contended.Inc()
-					s.mu.RLock()
-				}
-			} else {
-				s.mu.RLock()
-			}
+			s.mu.RLock()
 			rcv, routed = s.routes[m.From]
 			s.mu.RUnlock()
 			from, valid = m.From, true
-			dispatch = s.dispatch
 			tr = nil
 			if routed {
 				tr, _ = rcv.(neko.TimedReceiver)
 			}
 		}
-		dispatch.Inc() // nil (a no-op) when uninstrumented
 		switch {
 		case tr != nil:
 			tr.ReceiveAt(m, at)
 		case routed:
 			rcv.Receive(m)
 		default:
-			r.unrouted.Inc()
 			r.Base.Receive(m)
 		}
 	}

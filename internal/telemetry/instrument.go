@@ -42,9 +42,7 @@ const (
 	MetricEgressRingDepth     = "wanfd_egress_ring_occupancy"
 	MetricEgressSendErrors    = "wanfd_egress_send_errors_total"
 
-	MetricRouterDispatch  = "wanfd_router_dispatch_total"
-	MetricRouterUnrouted  = "wanfd_router_unrouted_total"
-	MetricRouterContended = "wanfd_router_shard_contended_total"
+	MetricRouterUnrouted = "wanfd_router_unrouted_total"
 
 	MetricPeers       = "wanfd_cluster_peers"
 	MetricPeerAdds    = "wanfd_cluster_peer_adds_total"

@@ -14,6 +14,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -494,7 +495,7 @@ func formatValue(v float64) string {
 
 // writeLabels renders {k="v",...}; extra, when non-empty, is an extra
 // pre-escaped pair (the histogram "le" bound) appended last.
-func writeLabels(b *strings.Builder, labels []string, extraKey, extraVal string) {
+func writeLabels(b *bytes.Buffer, labels []string, extraKey, extraVal string) {
 	if len(labels) == 0 && extraKey == "" {
 		return
 	}
@@ -557,7 +558,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		})
 	}
 	r.mu.RUnlock()
-	var b strings.Builder
+	// One buffer for every family: Reset keeps its capacity, so a scrape
+	// allocates about its largest family once instead of regrowing the
+	// text of each family from empty.
+	var b bytes.Buffer
 	for _, f := range snap {
 		b.Reset()
 		b.WriteString("# HELP ")
@@ -627,7 +631,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				b.WriteByte('\n')
 			}
 		}
-		if _, err := io.WriteString(w, b.String()); err != nil {
+		if _, err := w.Write(b.Bytes()); err != nil {
 			return err
 		}
 	}

@@ -19,8 +19,7 @@ import (
 // Shards are keyed by destination id, so one peer's packets always ride
 // one FIFO ring and stay in send order across flushes.
 const (
-	// egressShards is the default shard count; UDPConfig.EgressShards
-	// widens it at scale.
+	// egressShards is the number of per-destination egress rings.
 	egressShards = 8
 	// egressRingCap bounds how many encoded packets can wait for the
 	// flusher per shard; overflow is counted and dropped (UDP semantics —
@@ -123,10 +122,9 @@ func (n *UDPNetwork) startEgress() {
 	if batch > maxEgressBatch {
 		batch = maxEgressBatch
 	}
-	shards := shardCount(n.cfg.EgressShards, egressShards)
 	eg := &egressState{
-		shards:        make([]egressShard, shards),
-		shardMask:     uint64(shards - 1),
+		shards:        make([]egressShard, egressShards),
+		shardMask:     egressShards - 1,
 		wake:          make(chan struct{}, 1),
 		batch:         batch,
 		flushInterval: n.cfg.EgressFlushInterval,

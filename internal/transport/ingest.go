@@ -12,12 +12,13 @@ import (
 	"wanfd/internal/telemetry"
 )
 
-// Batched ingest pipeline tuning. The default shard count matches the
-// router's so one consumer goroutine feeds one router shard's worth of
-// peers (UDPConfig.IngestShards widens it at scale); the ring capacity
-// bounds how far a burst can run ahead of the detectors before packets
-// are dropped (counted, never blocking the socket); the drain batch is
-// how many datagrams one readiness wakeup pulls before stamping them.
+// Batched ingest pipeline tuning. The default shard count matches a
+// cluster monitor's default shard count, so one consumer goroutine feeds
+// one monitor shard's peers (UDPConfig.IngestShards sets it to a wider
+// profile's count); the ring capacity bounds how far a burst can run
+// ahead of the detectors before packets are dropped (counted, never
+// blocking the socket); the drain batch is how many datagrams one
+// readiness wakeup pulls before stamping them.
 const (
 	ingestShards  = 16
 	ingestRingCap = 512
@@ -103,7 +104,10 @@ func (n *UDPNetwork) IngestStats() IngestStats {
 // the drain loop(s). Extra SO_REUSEPORT readers degrade gracefully: if an
 // additional socket cannot be opened the endpoint runs with fewer readers.
 func (n *UDPNetwork) startIngest() {
-	shards := shardCount(n.cfg.IngestShards, ingestShards)
+	shards := n.cfg.IngestShards
+	if shards == 0 {
+		shards = ingestShards
+	}
 	// The pool covers every message the pipeline can have in flight: all
 	// shard rings full plus a drain batch per reader being decoded and a
 	// batch per consumer being delivered.
@@ -239,7 +243,7 @@ func (n *UDPNetwork) processBatch(batch []pending, bk *shardBuckets) {
 		// Map the sender's wall-clock timestamp onto the local run
 		// clock, correcting the estimated peer clock offset.
 		p.m.SentAt = time.Duration(p.sentUnix - n.epochNano - p.off)
-		shard := uint64(uint32(p.m.From)) & ig.shardMask
+		shard := n.IngestRing(p.m.From)
 		bk.b[shard] = append(bk.b[shard], ingestItem{m: p.m, recvAt: stamp})
 		touched |= 1 << shard
 	}
@@ -268,6 +272,12 @@ func (n *UDPNetwork) processBatch(batch []pending, bk *shardBuckets) {
 		default: // a wakeup is already latched
 		}
 	}
+}
+
+// IngestRing returns the ingest ring, and so the consumer goroutine, that
+// messages attributed to id are queued on: the id's low bits.
+func (n *UDPNetwork) IngestRing(id neko.ProcessID) int {
+	return int(uint64(uint32(id)) & n.ingest.shardMask)
 }
 
 // consumeShard is one shard's consumer: it pops queued messages,

@@ -18,26 +18,6 @@ import (
 	"wanfd/internal/telemetry"
 )
 
-// checkShards validates a configured pipeline shard count: zero (use the
-// default) or a power of two no larger than 64.
-func checkShards(name string, n int) error {
-	if n == 0 {
-		return nil
-	}
-	if n < 0 || n > 64 || n&(n-1) != 0 {
-		return fmt.Errorf("transport: %s must be a power of two in [1,64], got %d", name, n)
-	}
-	return nil
-}
-
-// shardCount resolves a configured shard count against its default.
-func shardCount(configured, def int) int {
-	if configured > 0 {
-		return configured
-	}
-	return def
-}
-
 // UDPConfig parameterizes a UDP network endpoint.
 type UDPConfig struct {
 	// LocalID is the process id of this host.
@@ -62,13 +42,12 @@ type UDPConfig struct {
 	// partial batches immediately: batching then comes only from natural
 	// send bursts and never delays a heartbeat.
 	EgressFlushInterval time.Duration
-	// IngestShards and EgressShards size the batched pipelines' fan-in
-	// lanes. Zero selects the defaults (16 ingest, 8 egress); non-zero
-	// values must be powers of two and at most 64 (the ingest batch
-	// grouping uses a 64-bit touched mask). Scale profiles widen both at
-	// high peer counts.
+	// IngestShards sizes the batched ingest pipeline's fan-in: a peer's
+	// datagrams go to ring id&(IngestShards-1). Zero selects the default
+	// (16); non-zero values must be powers of two and at most 64 (the
+	// batch grouping uses a 64-bit touched mask). A cluster monitor sets
+	// it to its own shard count, so a peer's ring is its shard.
 	IngestShards int
-	EgressShards int
 	// ExpectedPeers, when non-zero, pre-sizes the peer tables and the
 	// ingest message pool for that many registered peers, so reaching the
 	// expected population never rehashes under load.
@@ -177,11 +156,8 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	if cfg.Listen == "" {
 		return nil, fmt.Errorf("transport: missing listen address")
 	}
-	if err := checkShards("IngestShards", cfg.IngestShards); err != nil {
-		return nil, err
-	}
-	if err := checkShards("EgressShards", cfg.EgressShards); err != nil {
-		return nil, err
+	if k := cfg.IngestShards; k < 0 || k > 64 || k&(k-1) != 0 {
+		return nil, fmt.Errorf("transport: IngestShards must be a power of two in [1,64], got %d", k)
 	}
 	hint := cfg.ExpectedPeers
 	if hint < len(cfg.Peers) {
@@ -220,7 +196,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	// The egress pipeline can pin a full complement of encoded packets in
 	// its shard rings plus one in-flight batch; size the buffer freelist to
 	// cover that so a loaded sender still recycles instead of allocating.
-	bufCap := shardCount(cfg.EgressShards, egressShards)*egressRingCap + 2*maxEgressBatch + sendBufPoolCap
+	bufCap := egressShards*egressRingCap + 2*maxEgressBatch + sendBufPoolCap
 	n.bufs = freelist.NewPool(bufCap, func() []byte {
 		return make([]byte, 0, maxPacketSize)
 	})

@@ -2,6 +2,7 @@ package wanfd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,6 @@ import (
 
 	"wanfd/internal/arena"
 	"wanfd/internal/core"
-	"wanfd/internal/layers"
 	"wanfd/internal/neko"
 	"wanfd/internal/sched"
 	"wanfd/internal/store"
@@ -91,25 +91,27 @@ func peerNameHash(name string) uint64 {
 	return h
 }
 
-// peerEntry is one live member: its transport identity and its detector
-// stack.
+// peerEntry is one live member: its transport identity and its detector.
 type peerEntry struct {
 	name string
 	addr string
 	id   neko.ProcessID
 	det  *core.Detector
-	mon  *layers.Monitor
 }
 
-// peerShard is one lane of the peer table: entries live in an
-// index-addressed arena and the name-keyed open-addressed table maps
-// hashes to arena indices (see internal/arena). A *peerEntry from ents is
-// only valid while mu is held — RemovePeer frees and zeroes the record
-// under the write lock — so read paths copy the entry out before
-// unlocking.
+// peerShard is one lane of the cluster. A peer's shard is chosen once,
+// from its name hash, and every layer uses it: the low bits of the peer's
+// transport id carry it, so the transport queues the peer's datagrams on
+// ingest ring s; shard s's consumer resolves them here; the detector arms
+// its deadline on wheels[s]. Entries live in an index-addressed arena; tab
+// maps name hashes and ids maps transport ids to arena indices (see
+// internal/arena). A *peerEntry from ents is only valid while mu is held —
+// RemovePeer frees and zeroes the record under the write lock — so read
+// paths copy what they need out before unlocking.
 type peerShard struct {
 	mu   sync.RWMutex
 	tab  *arena.Map64
+	ids  *arena.Map64
 	ents *arena.Arena[peerEntry]
 }
 
@@ -123,14 +125,15 @@ func (s *peerShard) find(h uint64, name string) (arena.Index, bool) {
 // without dropping the socket or perturbing other peers' timers. All
 // methods are safe for concurrent use.
 type MultiMonitor struct {
-	net    *transport.UDPNetwork
-	router *layers.Router
-	ctx    *neko.Context
-	opts   options
-	nextID atomic.Int64 // next peer ProcessID; monotonic, never reused
-	// profile is the scale-derived geometry (shard counts, wheel widths)
-	// everything below is sized from; see profileFor.
-	profile   scaleProfile
+	net *transport.UDPNetwork
+	// out is the endpoint's send half, returned when the monitor attached
+	// as its receiver. A monitor only receives in production; the
+	// pipeline benchmarks send through it.
+	out  neko.Sender
+	opts options
+	// nextID counts peer ids; a peer's id is the count shifted above its
+	// shard (see peerID). Monotonic, so ids are never reused.
+	nextID    atomic.Int64
 	shards    []peerShard
 	shardMask uint64
 	// wheels are the per-shard timing wheels all peer deadlines run on:
@@ -143,11 +146,28 @@ type MultiMonitor struct {
 	mPeers       *telemetry.Gauge
 	mPeerAdds    *telemetry.Counter
 	mPeerRemoves *telemetry.Counter
+	mUnrouted    *telemetry.Counter
 }
 
 // multiMonitorID is the local process id of the multi-monitor; peers get
 // ids above it.
 const multiMonitorID neko.ProcessID = 1000
+
+// peerShardBits is how many low bits of a peer id carry the peer's shard:
+// enough for the widest profile's 64 shards.
+const peerShardBits = 6
+
+// peerID allocates a fresh transport id on shard s. The low bits select
+// the same ingest ring as the shard (the transport masks the id with its
+// shard count, which equals the monitor's), and the count above them keeps
+// ids unique and never reused. Ids must fit the wire's int32 process ids.
+func (m *MultiMonitor) peerID(s uint64) (neko.ProcessID, error) {
+	c := m.nextID.Add(1)
+	if c > math.MaxInt32>>peerShardBits {
+		return 0, fmt.Errorf("wanfd: peer id space exhausted")
+	}
+	return neko.ProcessID(c<<peerShardBits | int64(s)), nil
+}
 
 type namedListener struct {
 	name     string
@@ -199,8 +219,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		Readers:             o.readers,
 		EgressBatch:         o.egressBatch,
 		EgressFlushInterval: o.egressFlushInterval,
-		IngestShards:        prof.ingestShards,
-		EgressShards:        prof.egressShards,
+		IngestShards:        prof.shards,
 		ExpectedPeers:       o.expectedPeers,
 	})
 	if err != nil {
@@ -208,27 +227,27 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	}
 	mm := &MultiMonitor{
 		net:       net,
-		router:    layers.NewRouterSharded(prof.routerShards),
 		opts:      o,
-		profile:   prof,
-		shards:    make([]peerShard, prof.peerShards),
-		shardMask: uint64(prof.peerShards - 1),
+		shards:    make([]peerShard, prof.shards),
+		shardMask: uint64(prof.shards - 1),
 	}
-	mm.router.Instrument(o.telemetry)
 	o.qstore.Instrument(o.telemetry)
 	if reg := o.telemetry; reg != nil {
 		mm.mPeers = reg.Gauge(telemetry.MetricPeers, "Current cluster membership size.")
 		mm.mPeerAdds = reg.Counter(telemetry.MetricPeerAdds, "Peers added to the cluster monitor.")
 		mm.mPeerRemoves = reg.Counter(telemetry.MetricPeerRemoves, "Peers removed from the cluster monitor.")
+		mm.mUnrouted = reg.Counter(telemetry.MetricRouterUnrouted,
+			"Messages from unknown or removed peer ids, dropped at dispatch.")
 	}
-	mm.nextID.Store(int64(multiMonitorID) + 1)
-	// Pre-size each shard's table for its cut of the expected population.
-	perShard := o.expectedPeers / prof.peerShards
+	// Peer ids start above the monitor's own.
+	mm.nextID.Store(int64(multiMonitorID) >> peerShardBits)
+	// Pre-size each shard's tables for its cut of the expected population.
+	perShard := o.expectedPeers / prof.shards
 	for i := range mm.shards {
 		mm.shards[i].tab = arena.NewMap64(perShard)
+		mm.shards[i].ids = arena.NewMap64(perShard)
 		mm.shards[i].ents = arena.New[peerEntry]()
 	}
-	mm.ctx = &neko.Context{ID: multiMonitorID, Clock: net.Clock()}
 	var onBatch func(int, time.Duration)
 	if reg := o.telemetry; reg != nil {
 		lag := reg.Histogram(telemetry.MetricSchedBatchLag,
@@ -241,7 +260,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	if o.pinDrivers {
 		cpus = sched.OnlineCPUs()
 	}
-	mm.wheels = make([]*sched.Wheel, prof.peerShards)
+	mm.wheels = make([]*sched.Wheel, prof.shards)
 	for i := range mm.wheels {
 		cfg := sched.Config{
 			Clock:       net.Clock(),
@@ -286,12 +305,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 			"Deadlines parked beyond the wheel horizon, summed over shards.",
 			func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
 	}
-	proc, err := neko.NewProcess(multiMonitorID, net.Clock(), net, mm.router)
-	if err != nil {
-		_ = net.Close()
-		return nil, err
-	}
-	if err := proc.Start(); err != nil {
+	if mm.out, err = net.Attach(multiMonitorID, ingress{mm}); err != nil {
 		_ = net.Close()
 		return nil, err
 	}
@@ -343,9 +357,9 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	if name == "" {
 		return fmt.Errorf("wanfd: empty peer name")
 	}
-	// Build the whole detector stack before touching the shard, so the
-	// critical section other peers' queries (and a same-shard removal)
-	// contend with is only the publication below, not the construction.
+	// Build the detector before touching the shard, so the critical section
+	// dispatch, queries and same-shard membership changes contend with is
+	// only the publication below, not the construction.
 	pred, err := core.NewPredictorByName(m.opts.predictor)
 	if err != nil {
 		return err
@@ -358,63 +372,59 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	// heartbeat sample, the listener for every transition. Nil (a no-op)
 	// when the monitor was built without WithStore.
 	rec := m.opts.qstore.Recorder(name)
-	// The detector's deadlines run on its shard's timing wheel, so
-	// membership churn and timer load distribute identically.
+	// The peer's shard is chosen here, once: its deadlines run on the
+	// shard's timing wheel and its id routes its datagrams to the shard's
+	// ingest ring.
 	h := peerNameHash(name)
+	si := h & m.shardMask
 	det, err := core.NewDetector(core.DetectorConfig{
 		Name:       name,
 		Predictor:  pred,
 		Margin:     margin,
 		Eta:        m.opts.eta,
-		Clock:      m.wheels[h&m.shardMask],
+		Clock:      m.wheels[si],
 		Listener:   namedListener{name: name, onChange: m.opts.onChange, reg: m.opts.telemetry, rec: rec},
 		MinTimeout: m.opts.minTimeout,
 		Metrics:    m.opts.telemetry.DetectorMetrics(name),
 		Sample:     rec,
 	})
-	// From here on, every failure except the duplicate-name one retires
-	// the series DetectorMetrics just registered: the name never became a
-	// member. A duplicate keeps them — the registry handed back the live
-	// member's own counter.
+	// A failure from here on retires the series DetectorMetrics just
+	// registered unless the name is live: a duplicate's registry handed
+	// back the live member's own counters.
 	if err != nil {
-		m.dropSeries(name)
+		m.retireUnlessLive(si, h, name)
 		return err
 	}
-	mon, err := layers.NewMonitor(det)
+	// Register the address before taking the shard lock, which guards
+	// heartbeat dispatch: resolving a hostname may block, and the
+	// transport's table takes its own global write lock. Until the entry is
+	// published below, datagrams from addr miss at dispatch and are counted
+	// unrouted, like those of any peer not yet added.
+	id, err := m.peerID(si)
+	if err == nil {
+		err = m.net.AddPeer(id, addr)
+	}
 	if err != nil {
-		m.dropSeries(name)
+		det.Stop()
+		m.retireUnlessLive(si, h, name)
 		return err
 	}
-	if err := mon.Init(m.ctx); err != nil {
-		m.dropSeries(name)
-		return err
-	}
-	s := &m.shards[h&m.shardMask]
+	s := &m.shards[si]
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.find(h, name); dup {
-		mon.Stop()
+		s.mu.Unlock()
+		_ = m.net.RemovePeer(id)
+		det.Stop()
 		return fmt.Errorf("wanfd: peer %q already monitored", name)
 	}
-	id := neko.ProcessID(m.nextID.Add(1) - 1)
-	// Route before registering the address: the instant the transport can
-	// attribute packets to this id, the detector is already reachable.
-	if err := m.router.Route(id, mon); err != nil {
-		mon.Stop()
-		m.dropSeries(name)
-		return err
-	}
-	if err := m.net.AddPeer(id, addr); err != nil {
-		_ = m.router.Unroute(id)
-		mon.Stop()
-		m.dropSeries(name)
-		return err
-	}
 	idx, e := s.ents.Alloc()
-	*e = peerEntry{name: name, addr: addr, id: id, det: det, mon: mon}
+	*e = peerEntry{name: name, addr: addr, id: id, det: det}
 	s.tab.Put(h, idx)
+	s.ids.Put(uint64(id), idx)
 	// State the detector tracks anyway is sampled at scrape time, not
 	// pushed per heartbeat; RemovePeer's DropSeries retires the callbacks.
+	// Registered under the shard lock, so a concurrent duplicate can never
+	// replace the live member's callbacks.
 	m.opts.telemetry.DetectorFuncs(name,
 		func() (uint64, uint64, uint64) {
 			st := det.DetectorStats()
@@ -423,10 +433,22 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 		func() float64 { return det.CurrentTimeout() / 1e3 },
 		det.Suspected,
 	)
+	s.mu.Unlock()
 	m.mPeerAdds.Inc()
-	// Maintained incrementally: Peers() would re-lock the shard held here.
 	m.mPeers.Add(1)
 	return nil
+}
+
+// retireUnlessLive retires a rejected name's series unless a live member
+// holds them. The check and the drop share the shard lock, so a member
+// published concurrently under the same name keeps its series.
+func (m *MultiMonitor) retireUnlessLive(si, h uint64, name string) {
+	s := &m.shards[si]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, live := s.find(h, name); !live {
+		m.dropSeries(name)
+	}
 }
 
 // RemovePeer stops monitoring a peer and tears its detector down. Other
@@ -442,19 +464,19 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 		// Copy the entry out before freeing: Free zeroes the record, and
 		// the teardown below runs outside the shard lock.
 		e = *s.ents.Get(idx)
+		s.ids.Delete(uint64(e.id))
 		s.ents.Free(idx)
 	}
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("wanfd: unknown peer %q", name)
 	}
-	// Unregister the address first so new packets stop being attributed,
-	// then unroute and stop: a packet already past the transport lookup
-	// still finds a live (about-to-stop) detector, and a straggler
-	// arriving after Stop is discarded by the detector itself.
+	// The id left the shard table above, so datagrams still in flight
+	// miss at dispatch from now on. Then unregister the address and stop
+	// the detector: a heartbeat already resolved before the removal is
+	// discarded by the stopped detector itself.
 	_ = m.net.RemovePeer(e.id)
-	_ = m.router.Unroute(e.id)
-	e.mon.Stop()
+	e.det.Stop()
 	m.mPeerRemoves.Inc()
 	m.mPeers.Add(-1)
 	// Retire the peer's series and running QoS state so churn does not
@@ -462,6 +484,46 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	// matching the fresh-detector semantics.
 	m.dropSeries(name)
 	return nil
+}
+
+// ingress attaches the monitor to its transport as the batch receiver,
+// without adding a method to MultiMonitor. Every batch comes from one
+// ingest shard's consumer.
+type ingress struct{ m *MultiMonitor }
+
+func (in ingress) Receive(msg *neko.Message) {
+	in.m.dispatch([]*neko.Message{msg}, in.m.net.Clock().Now())
+}
+
+func (in ingress) ReceiveBatch(ms []*neko.Message, at time.Duration) { in.m.dispatch(ms, at) }
+
+// dispatch feeds one same-stamp batch of received messages to the peers'
+// detectors. A message's shard is the low bits of its sender id — the
+// same bits that chose its ingest ring — so shard s's consumer only reads
+// shard s. Each run of same-sender messages is resolved once, under the
+// shard's read lock; the detector is called after unlocking, since its
+// listener may call back into AddPeer or RemovePeer. Ids that resolve to
+// no member (never added, or removed while their datagrams were in
+// flight) are dropped and counted unrouted.
+func (m *MultiMonitor) dispatch(ms []*neko.Message, at time.Duration) {
+	for i := 0; i < len(ms); {
+		from := ms[i].From
+		s := &m.shards[uint64(uint32(from))&m.shardMask]
+		var det *core.Detector
+		s.mu.RLock()
+		if idx, ok := s.ids.Get(uint64(from)); ok {
+			det = s.ents.Get(idx).det
+		}
+		s.mu.RUnlock()
+		for ; i < len(ms) && ms[i].From == from; i++ {
+			switch {
+			case det == nil:
+				m.mUnrouted.Inc()
+			case ms[i].Type == neko.MsgHeartbeat:
+				det.OnHeartbeat(ms[i].Seq, ms[i].SentAt, at)
+			}
+		}
+	}
 }
 
 // dropSeries retires a peer name's telemetry series and running QoS
@@ -540,8 +602,7 @@ func (m *MultiMonitor) SchedulerStatsDetail() []WheelStats {
 
 // lookup finds a live peer entry, returned by value: the arena record is
 // only stable under the shard lock (a concurrent RemovePeer frees and
-// zeroes it), but the copied pointers — detector, monitor — stay valid
-// heap objects, exactly as they did when the table held *peerEntry.
+// zeroes it), but the copied detector pointer stays a valid heap object.
 func (m *MultiMonitor) lookup(name string) (peerEntry, bool) {
 	h := peerNameHash(name)
 	s := &m.shards[h&m.shardMask]
@@ -636,7 +697,7 @@ func (m *MultiMonitor) Peers() int {
 // adds the per-peer breakdown.
 func (m *MultiMonitor) Snapshot() ClusterSnapshot {
 	snap := m.totals()
-	snap.Uptime = m.ctx.Clock.Now()
+	snap.Uptime = m.net.Clock().Now()
 	return snap
 }
 
@@ -672,7 +733,7 @@ func (m *MultiMonitor) totals() ClusterSnapshot {
 func (m *MultiMonitor) SnapshotDetail() ClusterSnapshot {
 	st := m.Status()
 	snap := ClusterSnapshot{
-		Uptime:       m.ctx.Clock.Now(),
+		Uptime:       m.net.Clock().Now(),
 		Peers:        len(st),
 		PeerStatuses: st,
 	}
@@ -700,7 +761,7 @@ func (m *MultiMonitor) Telemetry() *telemetry.Registry { return m.opts.telemetry
 // releases the socket.
 func (m *MultiMonitor) Close() error {
 	for _, e := range m.entries() {
-		e.mon.Stop()
+		e.det.Stop()
 	}
 	for _, w := range m.wheels {
 		w.Close()

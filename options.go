@@ -57,43 +57,33 @@ type options struct {
 }
 
 // scaleProfile is the geometry a cluster monitor derives from the
-// expected peer count: how many ways the peer table, ingest pipeline,
-// egress pipeline and router fan out, and how wide the shard timing
-// wheels are. Shard counts are powers of two (lookups mask, not modulo);
-// zero wheel slots select the scheduler defaults (256 fine / 64 coarse).
+// expected peer count: how many shards it splits its peers into — each
+// shard owns its peers' ingest ring, table entries and timing wheel — and
+// how wide the shard wheels are. The shard count is a power of two
+// (lookups mask, not modulo); zero wheel slots select the scheduler
+// defaults (256 fine / 64 coarse).
 type scaleProfile struct {
-	peerShards   int
-	ingestShards int
-	egressShards int
-	routerShards int
-	fineSlots    int
-	coarseSlots  int
+	shards      int
+	fineSlots   int
+	coarseSlots int
 }
 
 // profileFor maps an expected peer count onto a scale profile. The zero
 // count (and anything up to ~32k peers) keeps the geometry every monitor
-// ran with before profiles existed, so existing deployments see no
-// behavior change; above that the shard counts and wheel widths grow so
-// per-shard population — and with it lock contention, probe lengths and
-// wheel slot occupancy — stays in the range the small tiers were tuned
-// for. Capped at 64 shards: the transport's batch grouping masks touched
-// shards in one uint64.
+// ran with before profiles existed; above that the shard count and wheel
+// widths grow so per-shard population — and with it lock contention,
+// probe lengths and wheel slot occupancy — stays in the range the small
+// tiers were tuned for. Capped at 64 shards: the transport's batch
+// grouping masks touched shards in one uint64, and a peer id carries its
+// shard in peerShardBits bits.
 func profileFor(expectedPeers int) scaleProfile {
 	switch {
 	case expectedPeers > 1<<18: // the 1M tier
-		return scaleProfile{
-			peerShards: 64, ingestShards: 64, egressShards: 32, routerShards: 64,
-			fineSlots: 1024, coarseSlots: 256,
-		}
+		return scaleProfile{shards: 64, fineSlots: 1024, coarseSlots: 256}
 	case expectedPeers > 1<<15: // the 100k tier
-		return scaleProfile{
-			peerShards: 32, ingestShards: 32, egressShards: 16, routerShards: 32,
-			fineSlots: 512, coarseSlots: 128,
-		}
+		return scaleProfile{shards: 32, fineSlots: 512, coarseSlots: 128}
 	default:
-		return scaleProfile{
-			peerShards: 16, ingestShards: 16, egressShards: 8, routerShards: 16,
-		}
+		return scaleProfile{shards: 16}
 	}
 }
 
@@ -261,10 +251,9 @@ type PipelineConfig struct {
 	// Honoured only where SO_REUSEPORT is available (linux).
 	Readers int
 	// ExpectedPeers declares the cluster size a MultiMonitor is being
-	// built for. It selects the monitor's scale profile — peer-table,
-	// ingest, egress and router shard counts plus timing-wheel width —
-	// and pre-sizes the peer tables so growing to the expected population
-	// never rehashes under load. 0 keeps the default geometry (tuned for
+	// built for. It selects the monitor's scale profile — its shard count
+	// plus timing-wheel width — and pre-sizes the peer tables so growing
+	// to the expected population never rehashes under load. 0 keeps the default geometry (tuned for
 	// up to ~32k peers); larger values widen the fan-out in steps, with
 	// the top tier sized for 1M+ peers. Single-peer Monitors ignore it.
 	ExpectedPeers int
